@@ -81,7 +81,7 @@ def _parse_blockade(spec: str, rabi_mhz: float):
     kind, sep, value = s.partition(":")
     if sep and kind == "hard":
         try:
-            return HardSphere(float(value), rabi_mhz)
+            return HardSphere(float(value))
         except ValueError:
             pass
     elif sep and kind == "c6":
@@ -163,7 +163,7 @@ def _cmd_cnot_sweep(args) -> int:
         eff = efficiency_basis_avg(gate)
         return basis, haar, eff
 
-    workers = worker_count()
+    workers = worker_count(n_tasks=len(grid))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(evaluate, grid))

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .optics import hwp, qwp
+from .optics import PLATES
 from .pulses import scheme1_cp_matrix, scheme2_cp_matrix
 from .qstate import GateOpMatrix, StateVector, apply_gate, init_basis
 
@@ -42,8 +42,26 @@ CpModel = Callable[[float], GateOpMatrix]
 
 DENSE_QUBIT_CAP = 22
 
-_ONE_QUBIT_KINDS = ("h", "p", "x90", "qwp", "hwp")
-_TWO_QUBIT_KINDS = ("cp", "cnot")
+
+class GateSpec(NamedTuple):
+    arity: int  # 1 or 2; a two-qubit gate reads (control, target)
+    takes_angle: bool
+    build: Callable[[float | None, float, CpModel], GateOpMatrix]
+
+
+# The one list of .qc gate names: validation, execution, parsing and
+# serialization all read it. Builders take (angle_deg, eta, cp_model) and
+# look their callees up at call time, so a rebound cnot_from_cp is seen.
+GATES: dict[str, GateSpec] = {
+    "h": GateSpec(1, False, lambda a, eta, m: HADAMARD),
+    "p": GateSpec(1, False, lambda a, eta, m: PHASE),
+    "x90": GateSpec(1, False, lambda a, eta, m: X90),
+    **{k: GateSpec(1, True, lambda a, eta, m, k=k: PLATES[k](a)) for k in PLATES},
+    "cp": GateSpec(2, False, lambda a, eta, m: m(eta)),
+    "cnot": GateSpec(2, False, lambda a, eta, m: cnot_from_cp(m(eta))),
+}
+
+_TARGETS = {1: "one target", 2: "two distinct targets"}
 
 
 @dataclass(frozen=True)
@@ -56,20 +74,17 @@ class CircuitOp:
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
         k = self.kind
-        if k in _ONE_QUBIT_KINDS:
-            if len(self.targets) != 1:
-                raise ConfigError(f"{k} takes one target, got {self.targets}")
-            needs_angle = k in ("qwp", "hwp")
-            if needs_angle != (self.angle_deg is not None):
-                raise ConfigError(f"angle mismatch for {k}")
-        elif k in _TWO_QUBIT_KINDS:
-            if len(self.targets) != 2 or self.targets[0] == self.targets[1]:
-                raise ConfigError(f"{k} takes two distinct targets, got {self.targets}")
-        elif k == "custom":
+        if k == "custom":
             if self.matrix is None or self.matrix.arity != len(self.targets):
                 raise ConfigError("custom op needs a matrix matching its target count")
-        else:
+            return
+        spec = GATES.get(k)
+        if spec is None:
             raise ConfigError(f"unknown op kind {k!r}")
+        if len(self.targets) != spec.arity or len(set(self.targets)) != spec.arity:
+            raise ConfigError(f"{k} takes {_TARGETS[spec.arity]}, got {self.targets}")
+        if spec.takes_angle != (self.angle_deg is not None):
+            raise ConfigError(f"angle mismatch for {k}")
 
 
 @dataclass(frozen=True)
@@ -144,21 +159,8 @@ def lossy_cnot(eta: float) -> GateOpMatrix:
 
 
 def _op_gate(op: CircuitOp, eta: float, cp_model: CpModel) -> GateOpMatrix:
-    if op.kind == "h":
-        return HADAMARD
-    if op.kind == "p":
-        return PHASE
-    if op.kind == "x90":
-        return X90
-    if op.kind == "qwp":
-        return qwp(op.angle_deg)
-    if op.kind == "hwp":
-        return hwp(op.angle_deg)
-    if op.kind == "cp":
-        return cp_model(eta)
-    if op.kind == "cnot":
-        return cnot_from_cp(cp_model(eta))
-    return op.matrix
+    spec = GATES.get(op.kind)
+    return op.matrix if spec is None else spec.build(op.angle_deg, eta, cp_model)
 
 
 def run_circuit(
@@ -212,20 +214,26 @@ def ghz_transfer_eval(
     state t given control branch c. The GHZ overlap needs only the
     all-0 and all-1 paths; the success probability sums |amp|^2 over
     every leaf, which is a product structure for Star and a 2x2 matrix
-    power for Chain.
+    power for Chain. Every path is measured against the all-0 one,
+    t00^m, which no other path exceeds, and the Chain power is scaled by
+    its largest eigenvalue: the fidelity never forms 0/0, and only the
+    efficiency underflows at large n.
     """
     if n < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"eta must be in [0,1], got {eta}")
     t00, t01, t10, t11 = _branch_transfers(eta)
-    overlap = 0.5 * (t00 ** (n - 1) + t11 ** (n - 1))
+    m = n - 1
+    e = np.array([[t00, t01], [t10, t11]]) ** 2 / t00**2
     if topology is GhzTopology.STAR:
-        prob = 0.5 * ((t00**2 + t01**2) ** (n - 1) + (t10**2 + t11**2) ** (n - 1))
+        row0, row1 = e.sum(axis=1)
+        log_sum = m * math.log(row0) + math.log1p((row1 / row0) ** m)
     else:
-        e = np.array([[t00**2, t01**2], [t10**2, t11**2]])
-        prob = 0.5 * float(np.sum(np.linalg.matrix_power(e, n - 1)))
-    return overlap**2 / prob, prob
+        top = float(np.max(np.abs(np.linalg.eigvals(e))))
+        log_sum = m * math.log(top) + math.log(np.linalg.matrix_power(e / top, m).sum())
+    fidelity = 0.5 * (1.0 + (t11 / t00) ** m) ** 2 * math.exp(-log_sum)
+    return fidelity, 0.5 * math.exp(2 * m * math.log(t00) + log_sum)
 
 
 def ghz_dense_eval(

@@ -42,8 +42,8 @@ class FidelityReport:
     seed: int | None = None
 
 
-def worker_count(n_threads: int | None = None) -> int:
-    """Resolve the worker bound, honoring PAQSIM_THREADS when unset."""
+def worker_count(n_threads: int | None = None, n_tasks: int | None = None) -> int:
+    """Resolve the worker bound (PAQSIM_THREADS when unset), capped by CPUs and tasks."""
     if n_threads is None:
         raw = os.environ.get("PAQSIM_THREADS", "").strip()
         if not raw:
@@ -54,7 +54,10 @@ def worker_count(n_threads: int | None = None) -> int:
             raise ConfigError(
                 f"PAQSIM_THREADS must be an integer, got {raw!r}"
             ) from None
-    return max(1, n_threads)
+    bound = os.cpu_count() or 1
+    if n_tasks is not None:
+        bound = min(bound, n_tasks)
+    return max(1, min(n_threads, bound))
 
 
 def state_fidelity_postselected(out: StateVector, ideal: StateVector) -> float:
@@ -147,7 +150,7 @@ def haar_avg_gate_fidelity(
     counts = [
         min(HAAR_CHUNK, samples - start) for start in range(0, samples, HAAR_CHUNK)
     ]
-    workers = worker_count(n_threads)
+    workers = worker_count(n_threads, len(counts))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(

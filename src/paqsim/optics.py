@@ -45,6 +45,10 @@ def hwp(fast_axis_deg: float) -> GateOpMatrix:
     return jones_matrix(WavePlate(HALF_WAVE, fast_axis_deg))
 
 
+# the wave-plate vocabulary of .qc gates and .qtl pmu statements
+PLATES = {"qwp": qwp, "hwp": hwp}
+
+
 def distance_up_to_global_phase(a, b) -> float:
     """min over phi of the Frobenius norm ||A - e^{i phi} B||.
 

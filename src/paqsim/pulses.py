@@ -59,7 +59,6 @@ class HardSphere:
     """Full blockade inside `radius_um`, none beyond (<= is inside)."""
 
     radius_um: float = 40.0
-    reference_rabi_mhz: float = 1.0
 
     def __post_init__(self):
         if self.radius_um <= 0:

@@ -7,15 +7,19 @@ offending token and never return a partial program.
 
 .qc grammar:
     qubits <n>
-    h <q> | p <q> | x90 <q> | qwp <q> <angle> | hwp <q> <angle>
-    cp <c> <t> | cnot <c> <t>
+    <name> <q> [<angle>]       # one-qubit gates, e.g. `h 0`, `qwp 1 45`
+    <name> <control> <target>  # two-qubit gates, e.g. `cp 0 1`
 
 .qtl grammar:
     qms <n>
     pos <i> <x> [y]            # micrometers, y defaults to 0
     step:
-        pmu <i> <qwp|hwp> <angle>
+        pmu <i> <plate> <angle>  # e.g. `pmu 0 hwp 22.5`
         cp <i> <j>             # pairs of one step share no memory
+
+The gate table paqsim.gates.GATES is the one source of .qc gate names,
+their qubit counts and which take an angle; paqsim.optics.PLATES is the
+one source of .qtl plate names. Both parsers and serializers read them.
 
 Blockade reach for cp pairs is checked at run time with an inclusive
 (<=) comparison on center-to-center distance.
@@ -26,7 +30,8 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError, ParseError
-from .gates import CircuitIR, CircuitOp
+from .gates import GATES, CircuitIR, CircuitOp
+from .optics import PLATES
 from .timeline import PlateOp, TimelineProgram, TimelineStep
 
 _TOKEN = re.compile(r"\S+")
@@ -67,72 +72,54 @@ def _index(tok, col, line, n, what):
     return q
 
 
-def parse_circuit(text: str) -> CircuitIR:
+def _header(text, keyword, what):
+    """Read the `<keyword> <n>` first statement; returns the rest and n."""
     lines = _token_lines(text)
     try:
         lineno, tokens = next(lines)
     except StopIteration:
-        raise ParseError("missing `qubits <n>` header", 1, 1) from None
-    if tokens[0][0].lower() != "qubits":
-        raise ParseError("first statement must be `qubits <n>`", lineno, tokens[0][1])
-    _need(tokens, 2, lineno, "qubits <n>")
-    n = _int(tokens[1][0], tokens[1][1], lineno, "qubit count")
+        raise ParseError(f"missing `{keyword} <n>` header", 1, 1) from None
+    if tokens[0][0].lower() != keyword:
+        raise ParseError(f"first statement must be `{keyword} <n>`", lineno, tokens[0][1])
+    _need(tokens, 2, lineno, f"{keyword} <n>")
+    n = _int(tokens[1][0], tokens[1][1], lineno, what)
     if n < 1:
-        raise ParseError(f"qubit count must be >= 1, got {n}", lineno, tokens[1][1])
+        raise ParseError(f"{what} must be >= 1, got {n}", lineno, tokens[1][1])
+    return lines, n
 
+
+def parse_circuit(text: str) -> CircuitIR:
+    lines, n = _header(text, "qubits", "qubit count")
     ops: list[CircuitOp] = []
     for lineno, tokens in lines:
         name, col = tokens[0][0].lower(), tokens[0][1]
-        if name in ("h", "p", "x90"):
-            _need(tokens, 2, lineno, f"{name} <q>")
-            q = _index(tokens[1][0], tokens[1][1], lineno, n, "qubit index")
-            ops.append(CircuitOp(name, (q,)))
-        elif name in ("qwp", "hwp"):
-            _need(tokens, 3, lineno, f"{name} <q> <angle>")
-            q = _index(tokens[1][0], tokens[1][1], lineno, n, "qubit index")
-            angle = _float(tokens[2][0], tokens[2][1], lineno, "angle")
-            ops.append(CircuitOp(name, (q,), angle_deg=angle))
-        elif name in ("cp", "cnot"):
-            _need(tokens, 3, lineno, f"{name} <control> <target>")
-            a = _index(tokens[1][0], tokens[1][1], lineno, n, "qubit index")
-            b = _index(tokens[2][0], tokens[2][1], lineno, n, "qubit index")
-            if a == b:
-                raise ParseError(
-                    f"{name} needs two distinct qubits", lineno, tokens[2][1]
-                )
-            ops.append(CircuitOp(name, (a, b)))
-        else:
+        spec = GATES.get(name)
+        if spec is None:
             raise ParseError(f"unknown gate {name!r}", lineno, col)
+        k = spec.arity
+        form = " <q>" if k == 1 else " <control> <target>"
+        form += " <angle>" if spec.takes_angle else ""
+        _need(tokens, 1 + k + spec.takes_angle, lineno, name + form)
+        qs = tuple(_index(t, c, lineno, n, "qubit index") for t, c in tokens[1:1 + k])
+        if len(set(qs)) < k:
+            raise ParseError(f"{name} needs two distinct qubits", lineno, tokens[k][1])
+        angle = _float(*tokens[k + 1], lineno, "angle") if spec.takes_angle else None
+        ops.append(CircuitOp(name, qs, angle_deg=angle))
     return CircuitIR(n, tuple(ops))
 
 
 def serialize_circuit(circuit: CircuitIR) -> str:
     lines = [f"qubits {circuit.n_qubits}"]
     for op in circuit.ops:
-        if op.kind in ("h", "p", "x90"):
-            lines.append(f"{op.kind} {op.targets[0]}")
-        elif op.kind in ("qwp", "hwp"):
-            lines.append(f"{op.kind} {op.targets[0]} {op.angle_deg:.17g}")
-        elif op.kind in ("cp", "cnot"):
-            lines.append(f"{op.kind} {op.targets[0]} {op.targets[1]}")
-        else:
+        if op.kind not in GATES:
             raise ConfigError(f"{op.kind} ops have no text form")
+        angle = "" if op.angle_deg is None else f" {op.angle_deg:.17g}"
+        lines.append(" ".join([op.kind, *map(str, op.targets)]) + angle)
     return "\n".join(lines) + "\n"
 
 
 def parse_timeline(text: str) -> TimelineProgram:
-    lines = _token_lines(text)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("missing `qms <n>` header", 1, 1) from None
-    if tokens[0][0].lower() != "qms":
-        raise ParseError("first statement must be `qms <n>`", lineno, tokens[0][1])
-    _need(tokens, 2, lineno, "qms <n>")
-    n = _int(tokens[1][0], tokens[1][1], lineno, "memory count")
-    if n < 1:
-        raise ParseError(f"memory count must be >= 1, got {n}", lineno, tokens[1][1])
-
+    lines, n = _header(text, "qms", "memory count")
     positions: dict[int, tuple[float, float]] = {}
     steps: list[TimelineStep] = []
     pmu: list[tuple[int, PlateOp]] = []
@@ -168,10 +155,10 @@ def parse_timeline(text: str) -> TimelineProgram:
         elif name == "pmu":
             if not in_step:
                 raise ParseError("pmu outside a step block", lineno, col)
-            _need(tokens, 4, lineno, "pmu <i> <qwp|hwp> <angle>")
+            _need(tokens, 4, lineno, f"pmu <i> <{'|'.join(PLATES)}> <angle>")
             i = _index(tokens[1][0], tokens[1][1], lineno, n, "memory index")
             plate = tokens[2][0].lower()
-            if plate not in ("qwp", "hwp"):
+            if plate not in PLATES:
                 raise ParseError(
                     f"unknown wave plate {plate!r}", lineno, tokens[2][1]
                 )

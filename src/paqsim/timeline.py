@@ -21,11 +21,9 @@ import numpy as np
 
 from .errors import ConfigError, GatePlacementError
 from .gates import CpModel, cp_ideal_with_loss
-from .optics import hwp, qwp
+from .optics import PLATES
 from .pulses import BlockadeModel, HardSphere
 from .qstate import StateVector, apply_gate, init_basis
-
-PLATE_KINDS = ("qwp", "hwp")
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,8 @@ class PlateOp:
     angle_deg: float
 
     def __post_init__(self):
-        if self.kind not in PLATE_KINDS:
-            raise ConfigError(f"unknown wave plate {self.kind!r}; use qwp or hwp")
+        if self.kind not in PLATES:
+            raise ConfigError(f"unknown wave plate {self.kind!r}; use {' or '.join(PLATES)}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,7 @@ def run_timeline(
             break
         norm_before = state.norm_sq
         for q, plate in step.pmu_ops:
-            gate = qwp(plate.angle_deg) if plate.kind == "qwp" else hwp(plate.angle_deg)
-            state = apply_gate(state, gate, (q,))
+            state = apply_gate(state, PLATES[plate.kind](plate.angle_deg), (q,))
         for i, j in step.cp_pairs:
             d = program.distance(i, j)
             if d > reach:

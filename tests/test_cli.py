@@ -82,6 +82,18 @@ def test_cnot_sweep_is_deterministic(capsys, monkeypatch):
     assert threaded == first
 
 
+def test_cnot_sweep_one_grid_point_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started for one grid point")
+
+    monkeypatch.setenv("PAQSIM_THREADS", "100000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(paqsim.cli, "ThreadPoolExecutor", no_pool)
+    code, out, _ = cli(capsys, "cnot-sweep", "--eta-min", "0.5", "--eta-max", "0.6",
+                       "--steps", "1", "--samples", "200")
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 def test_cnot_sweep_to_file(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, out, err = cli(capsys, *SWEEP_ARGS, "--out", str(out_path))
@@ -132,6 +144,16 @@ def test_ghz_dense_agrees_with_transfer(capsys):
     dense, transfer = json.loads(out_d), json.loads(out_t)
     assert dense["fidelity"] == pytest.approx(transfer["fidelity"], abs=1e-10)
     assert dense["efficiency"] == pytest.approx(transfer["efficiency"], abs=1e-10)
+
+
+@pytest.mark.parametrize("topology", ["star", "chain"])
+def test_ghz_transfer_past_underflow(capsys, topology):
+    code, out, err = cli(capsys, "ghz", "--n", "30000", "--eta", "0.9",
+                         "--topology", topology)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert 0.0 < record["fidelity"] <= 1.0
+    assert 0.0 <= record["efficiency"] <= 1.0
 
 
 def test_ghz_bad_sizes(capsys):

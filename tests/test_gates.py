@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paqsim import (
     CNOT,
@@ -230,3 +233,105 @@ def test_ghz_validation():
         ghz_transfer_eval(3, 1.5)
     with pytest.raises(ConfigError):
         cp_ideal_with_loss(-0.2)
+
+
+# ghz_transfer_eval as it read before it was made underflow-safe (direct
+# t^(n-1) powers), frozen where it neither underflowed nor raised:
+# (topology, n, eta, fidelity, efficiency)
+GHZ_TRANSFER_FROZEN = [
+    ("star", 2, 0.1, 0.6201244153872082, 0.30250000000000005),
+    ("star", 10, 0.1, 0.05823072649355146, 0.0023026832942948726),
+    ("star", 100, 0.1, 2.6709891264782403e-11, 9.882714840811025e-27),
+    ("star", 2, 0.33, 0.8684786206057765, 0.44222500000000003),
+    ("star", 10, 0.33, 0.26869725129414096, 0.012717008683863116),
+    ("star", 100, 0.33, 0.00046510074094266186, 1.4398355404298864e-18),
+    ("star", 1000, 0.33, 1.2857495118917706e-31, 4.986475185062757e-178),
+    ("star", 2, 0.58, 0.9643455178362833, 0.6240999999999999),
+    ("star", 10, 0.58, 0.4972901160471439, 0.060370906368489526),
+    ("star", 100, 0.58, 0.08288710758471643, 3.66481487984475e-11),
+    ("star", 1000, 0.58, 6.655593784322644e-09, 2.6818482712644906e-103),
+    ("star", 2, 0.9, 0.9986144781983314, 0.9025),
+    ("star", 10, 0.9, 0.9427245013023439, 0.43721047211603925),
+    ("star", 100, 0.9, 0.4719076960060601, 0.0031161599741747633),
+    ("star", 1000, 0.9, 0.25014983477550967, 2.7851698672341056e-23),
+    ("star", 10000, 0.9, 0.0004881603784106194, 9.06356988046346e-224),
+    ("star", 2, 0.99, 0.9999873740163566, 0.9900249999999999),
+    ("star", 10, 0.99, 0.9994322894771864, 0.9145555974385273),
+    ("star", 100, 0.99, 0.94333286672967, 0.4169556384288214),
+    ("star", 1000, 0.99, 0.503418345368552, 0.0033438486133529725),
+    ("star", 10000, 0.99, 0.46941352420872035, 8.549768996946366e-23),
+    ("chain", 2, 0.1, 0.6201244153872082, 0.30250000000000005),
+    ("chain", 10, 0.1, 0.35144766569695307, 0.0003815274198661928),
+    ("chain", 100, 0.1, 0.17122728446465293, 1.5416131817088144e-36),
+    ("chain", 2, 0.33, 0.8684786206057765, 0.44222500000000003),
+    ("chain", 10, 0.33, 0.43276295792236963, 0.00789583585074464),
+    ("chain", 100, 0.33, 0.3374152362717344, 1.984701651558516e-21),
+    ("chain", 1000, 0.33, 0.0320735069594255, 1.9989575955524715e-207),
+    ("chain", 2, 0.58, 0.9643455178362832, 0.6241),
+    ("chain", 10, 0.58, 0.5461563803059504, 0.05496933866640819),
+    ("chain", 100, 0.58, 0.44688074008089984, 6.797471405206901e-12),
+    ("chain", 1000, 0.58, 0.2946479873676244, 6.057836282606027e-111),
+    ("chain", 2, 0.9, 0.9986144781983314, 0.9025),
+    ("chain", 10, 0.9, 0.94312290291675, 0.4370257821277168),
+    ("chain", 100, 0.9, 0.49864660265441635, 0.0029490622536503352),
+    ("chain", 1000, 0.9, 0.49136901223498614, 1.4178952371077767e-23),
+    ("chain", 10000, 0.9, 0.4725969504192228, 9.362048778929596e-227),
+    ("chain", 2, 0.99, 0.9999873740163566, 0.9900249999999999),
+    ("chain", 10, 0.99, 0.9994323276836541, 0.9145555624767416),
+    ("chain", 100, 0.99, 0.9433771131016282, 0.41693608233188856),
+    ("chain", 1000, 0.99, 0.5059657118850429, 0.003327013464658539),
+    ("chain", 10000, 0.99, 0.4993529390941177, 8.03715545022678e-23),
+]
+
+
+@pytest.mark.parametrize("topology,n,eta,fidelity,efficiency", GHZ_TRANSFER_FROZEN)
+def test_ghz_transfer_matches_frozen_values(topology, n, eta, fidelity, efficiency):
+    fid, eff = ghz_transfer_eval(n, eta, GhzTopology(topology))
+    # per-edge rounding grows like n * eps in either formulation
+    tol = 1e-12 if n <= 1000 else 1e-10
+    assert abs(fid - fidelity) <= tol * fidelity
+    assert abs(eff - efficiency) <= tol * efficiency
+
+
+@pytest.mark.parametrize("n", [14000, 30000])
+def test_ghz_transfer_star_closed_form_past_underflow(n):
+    eta, m = 0.9, n - 1
+    s = math.sqrt(eta)
+    r = (1 + s) ** 2 / (2 * (1 + eta))
+    expect = 0.5 * r**m * (1 + s**m) ** 2 / (1 + eta**m)
+    fid, eff = ghz_transfer_eval(n, eta, GhzTopology.STAR)
+    assert abs(fid - expect) <= 1e-10 * expect
+    assert 0.0 <= eff < 1e-300  # the efficiency alone may underflow
+
+
+def test_ghz_transfer_chain_exact_past_underflow():
+    # eta = 0.81 makes s = 9/10, so exact rationals give the oracle;
+    # at n = 8000 every path amplitude squared is below 1e-308
+    s, m = Fraction(9, 10), 7999
+    t = [[(1 + s) / 2, (s - 1) / 2], [s * (s - 1) / 2, s * (1 + s) / 2]]
+    e = [[x * x for x in row] for row in t]
+
+    def mul(a, b):
+        return [[a[i][0] * b[0][c] + a[i][1] * b[1][c] for c in range(2)] for i in range(2)]
+
+    acc, k = [[1, 0], [0, 1]], m
+    while k:
+        if k & 1:
+            acc = mul(acc, e)
+        k >>= 1
+        if k:
+            e = mul(e, e)
+    overlap = (t[0][0] ** m + t[1][1] ** m) / 2
+    expect = float(overlap**2 / (sum(acc[0] + acc[1]) / 2))
+    fid, eff = ghz_transfer_eval(m + 1, 0.81, GhzTopology.CHAIN)
+    assert abs(fid - expect) <= 1e-10 * expect
+    assert eff == 0.0
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.integers(2, 10), st.floats(0.0, 1.0), st.sampled_from(list(GhzTopology)))
+def test_ghz_dense_matches_transfer_for_random_sizes(n, eta, topology):
+    dense = ghz_dense_eval(n, eta, topology)
+    transfer = ghz_transfer_eval(n, eta, topology)
+    assert abs(dense[0] - transfer[0]) < 1e-10
+    assert abs(dense[1] - transfer[1]) < 1e-10

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paqsim import (
     CollectiveState,
@@ -15,6 +17,7 @@ from paqsim import (
     apply_collective_pulse,
     gaussian_cloud,
     read_photon,
+    scheme1_cp_matrix,
     scheme1_cp_micro,
     vacuum_state,
     write_photon,
@@ -289,3 +292,19 @@ def test_micro_eta_validation():
     ens = make_ensemble(2, seed=26)
     with pytest.raises(ConfigError):
         scheme1_cp_micro(1.2, Perfect(), ens, ens)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+    st.floats(0.1, 3.0),
+    st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    st.floats(0.0, 1.0),
+)
+def test_micro_cp_matches_macro_for_random_clouds(n_ctrl, n_tgt, seed, sigma, k, eta):
+    ctrl = make_ensemble(n_ctrl, seed, sigma, k=np.array(k))
+    tgt = make_ensemble(n_tgt, seed + 1, sigma, k=np.array(k), offset=(10.0, 0.0, 0.0))
+    micro = scheme1_cp_micro(eta, Perfect(), ctrl, tgt)
+    np.testing.assert_allclose(micro.entries, scheme1_cp_matrix(eta).entries, atol=1e-12)

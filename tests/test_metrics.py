@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from paqsim import (
     scheme2_cp_matrix,
     state_fidelity_postselected,
 )
+import paqsim.metrics
 from paqsim.metrics import worker_count
 
 # converged Monte Carlo reference values (2e6 samples, three seeds agreeing)
@@ -158,6 +160,7 @@ def test_report_values_in_unit_interval():
 
 
 def test_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the count is capped by CPUs
     monkeypatch.delenv("PAQSIM_THREADS", raising=False)
     assert worker_count() == 1
     assert worker_count(6) == 6
@@ -170,3 +173,27 @@ def test_worker_count(monkeypatch):
     monkeypatch.setenv("PAQSIM_THREADS", "many")
     with pytest.raises(ConfigError):
         worker_count()
+
+
+def test_worker_count_is_bounded(monkeypatch):
+    monkeypatch.setenv("PAQSIM_THREADS", "100000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert worker_count() == 2
+    assert worker_count(n_tasks=1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == 64
+    assert worker_count(n_tasks=3) == 3
+    assert worker_count(100000, 13) == 13
+    assert worker_count(5, 13) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+    assert worker_count() == 1
+
+
+def test_single_haar_chunk_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started for one chunk")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(paqsim.metrics, "ThreadPoolExecutor", no_pool)
+    report = haar_avg_gate_fidelity(lossy_cnot(0.5), CNOT, samples=1000, n_threads=100000)
+    assert report.samples == 1000

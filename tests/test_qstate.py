@@ -1,7 +1,11 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paqsim import (
     ConfigError,
@@ -147,3 +151,32 @@ def test_apply_gate_target_validation():
         apply_gate(s, GateOpMatrix(np.eye(4)), [0, 0])
     with pytest.raises(ConfigError):
         apply_gate(s, GateOpMatrix(np.eye(4)), [0])
+
+
+def kron_reference(gate, targets, n):
+    """The gate on n qubits as a sum of Kronecker products of matrix units."""
+    k = len(targets)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for rows in itertools.product((0, 1), repeat=k):
+        for cols in itertools.product((0, 1), repeat=k):
+            factors = [np.eye(2)] * n
+            for q, r, c in zip(targets, rows, cols):
+                factors[q] = np.outer(np.eye(2)[r], np.eye(2)[c])
+            coeff = gate.entries[int("".join(map(str, rows)), 2), int("".join(map(str, cols)), 2)]
+            full += coeff * functools.reduce(np.kron, factors)
+    return full
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 2), st.data())
+def test_apply_gate_matches_kron_reference(n, arity, data):
+    arity = min(arity, n)
+    targets = data.draw(st.permutations(range(n)))[:arity]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    loss = data.draw(st.floats(0.0, 1.0))
+    gate = GateOpMatrix(loss * random_unitary(rng, 2**arity).entries)
+    state = random_state(rng, n)
+    out = apply_gate(state, gate, targets)
+    np.testing.assert_allclose(
+        out.amplitudes, kron_reference(gate, targets, n) @ state.amplitudes, atol=1e-12
+    )
