@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, PaqsimError, ParseError
+from .errors import ConfigError, PaqsimError
 from .gates import (
     CNOT,
     CP,
@@ -79,14 +79,10 @@ def _parse_blockade(spec: str, rabi_mhz: float):
     if s == "perfect":
         return Perfect()
     kind, sep, value = s.partition(":")
-    if sep and kind == "hard":
+    models = {"hard": HardSphere, "c6": lambda c6: PowerLaw(c6, rabi_mhz)}
+    if sep and kind in models:
         try:
-            return HardSphere(float(value))
-        except ValueError:
-            pass
-    elif sep and kind == "c6":
-        try:
-            return PowerLaw(float(value), rabi_mhz)
+            return models[kind](float(value))
         except ValueError:
             pass
     raise ConfigError(
@@ -94,25 +90,14 @@ def _parse_blockade(spec: str, rabi_mhz: float):
     )
 
 
-def _parse_area_errors(spec: str) -> tuple[float, float, float]:
+def _parse_three(spec: str, what: str) -> tuple[float, float, float]:
     parts = spec.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"area errors need three comma-separated values, got {spec!r}")
+        raise ConfigError(f"{what} need three comma-separated values, got {spec!r}")
     try:
-        e1, e2, e3 = (float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"area errors must be numbers, got {spec!r}") from None
-    return e1, e2, e3
-
-
-def _parse_vec3(spec: str) -> np.ndarray:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated numbers, got {spec!r}")
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError:
-        raise ConfigError(f"vector components must be numbers, got {spec!r}") from None
+        raise ConfigError(f"{what} must be numbers, got {spec!r}") from None
 
 
 def _read_text(path: str) -> str:
@@ -141,7 +126,7 @@ def _cp_model_from_args(args):
     if name == "ideal":
         return cp_ideal_with_loss
     if name == "scheme1":
-        return cp_model_scheme1(args.b_over_omega, _parse_area_errors(args.area_errors))
+        return cp_model_scheme1(args.b_over_omega, _parse_three(args.area_errors, "area errors"))
     if name == "scheme2":
         return cp_model_scheme2(args.area_pi * math.pi, args.b_over_omega)
     raise ConfigError(f"unknown cp model {name!r}")
@@ -221,7 +206,7 @@ def _cmd_pulse(args) -> int:
     else:
         b_over = blockade.shift_over_rabi(args.distance_um)
     area = args.area_pi * math.pi
-    errors = _parse_area_errors(args.area_errors)
+    errors = _parse_three(args.area_errors, "area errors")
     if args.scheme == 1:
         gate = scheme1_cp_matrix(args.eta, b_over, errors)
         ideal_ref = scheme1_cp_matrix(1.0, b_over, errors)
@@ -300,7 +285,7 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_micro(args) -> int:
-    kvec = _parse_vec3(args.kvec)
+    kvec = _parse_three(args.kvec, "wavevector components")
     positions = gaussian_cloud(args.atoms, args.sigma_um, args.seed)
     ensemble = EnsembleConfig(positions, kvec)
     blockade = _parse_blockade(args.blockade, args.rabi_mhz)
@@ -432,19 +417,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PaqsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,6 +46,10 @@ PRUNE_TOL = 1e-15
 # a branch counts as Rydberg-occupied above this population
 RYDBERG_PRESENCE_TOL = 1e-9
 
+# largest C(N,2) a second write may build: about 2.3 KiB of dict state and
+# 120 us of pulse time per pair, so N <= 447 atoms
+MAX_PAIRS = 100_000
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -63,6 +67,8 @@ class EnsembleConfig:
             )
         if k.shape != (3,):
             raise ConfigError(f"wavevector must be a 3-vector, got shape {k.shape}")
+        if not (np.isfinite(pos).all() and np.isfinite(k).all()):
+            raise ConfigError("positions and wavevector must be finite")
         pos.setflags(write=False)
         k.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -82,8 +88,8 @@ def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np
     """Sample isotropic Gaussian atom positions, (N,3) in micrometers."""
     if n_atoms < 1:
         raise ConfigError(f"need at least one atom, got {n_atoms}")
-    if sigma_um < 0:
-        raise ConfigError(f"cloud sigma must be >= 0, got {sigma_um}")
+    if not 0 <= sigma_um < math.inf:
+        raise ConfigError(f"cloud sigma must be finite and >= 0, got {sigma_um}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, sigma_um, size=(n_atoms, 3))
 
@@ -181,8 +187,14 @@ def write_photon(
     if abs(single_overlap) > 0.0:
         if n < 2:
             raise MemoryCapacityError("single-atom memory cannot hold a second photon")
+        pairs = math.comb(n, 2)
+        if pairs > MAX_PAIRS:
+            raise MemoryCapacityError(
+                f"a second photon in {n} atoms needs C({n},2) = {pairs} pair "
+                f"amplitudes, over the cap of {MAX_PAIRS}"
+            )
         ph = ensemble.phases()
-        pair_norm = math.sqrt(math.comb(n, 2))
+        pair_norm = math.sqrt(pairs)
         for i in range(n):
             for j in range(i + 1, n):
                 c = ((i, "g2"), (j, "g2"))

@@ -1,13 +1,18 @@
 """Fidelity and efficiency definitions for post-selected lossy gates.
 
-Three definitions are shipped and reported together, because a single
-headline "gate fidelity" number is ambiguous once loss enters:
+Four definitions are shipped, because a single headline "gate fidelity"
+number is ambiguous once loss enters:
 
-  basis_avg   mean post-selected fidelity over computational basis inputs
-  haar_avg    Monte Carlo mean over Haar-random pure inputs
-  process     |tr(U^dag M)|^2 / (d * tr(M^dag M))
+  basis_avg      mean post-selected fidelity over computational basis inputs
+  haar_avg       Monte Carlo mean over Haar-random pure inputs
+  haar_weighted  Haar mean weighted by success probability, in closed form:
+                 E|<Uz|Mz>|^2 / E<Mz|Mz> = (|tr A|^2 + tr(A A^dag))
+                 / ((d+1) tr(M^dag M)) with A = U^dag M, which is
+                 (d * process + 1) / (d + 1) for unitary U
+  process        |tr(U^dag M)|^2 / (d * tr(M^dag M))
 
-All of them equal 1 whenever M is proportional to U.
+All of them equal 1 whenever M is proportional to U. The CLI reports all
+but haar_weighted.
 
 The Haar average is evaluated in fixed-size chunks, each with its own
 counter-derived generator seeded by (seed, chunk index), and the chunk
@@ -94,15 +99,32 @@ def efficiency_basis_avg(m: GateOpMatrix) -> float:
     return float(np.sum(np.abs(a) ** 2) / a.shape[1])
 
 
-def process_fidelity_postselected(m: GateOpMatrix, u: GateOpMatrix) -> float:
+def _overlap(m: GateOpMatrix, u: GateOpMatrix, what: str):
+    """A = U^dag M and tr(M^dag M), checked as both trace formulas need."""
     a, b = m.entries, u.entries
     if a.shape != b.shape:
         raise ConfigError("gate matrices must share a dimension")
-    d = a.shape[0]
     denom = float(np.sum(np.abs(a) ** 2))
     if denom <= _ZERO_NORM:
-        raise PostSelectionError("null operation has no process fidelity")
-    return float(abs(np.trace(b.conj().T @ a)) ** 2 / (d * denom))
+        raise PostSelectionError(f"null operation has no {what}")
+    return b.conj().T @ a, denom
+
+
+def process_fidelity_postselected(m: GateOpMatrix, u: GateOpMatrix) -> float:
+    t, denom = _overlap(m, u, "process fidelity")
+    return float(abs(np.trace(t)) ** 2 / (t.shape[0] * denom))
+
+
+def haar_weighted_gate_fidelity(m: GateOpMatrix, u: GateOpMatrix) -> float:
+    """Exact success-weighted Haar average of M against any U.
+
+    Nielsen, Phys. Lett. A 303, 249 (2002): the Haar means of
+    |<Uz|Mz>|^2 and <Mz|Mz> are (|tr A|^2 + tr(A A^dag)) / (d(d+1)) and
+    tr(M^dag M) / d, with A = U^dag M.
+    """
+    t, denom = _overlap(m, u, "success-weighted fidelity")
+    num = abs(np.trace(t)) ** 2 + float(np.sum(np.abs(t) ** 2))
+    return float(num / ((t.shape[0] + 1) * denom))
 
 
 def _haar_chunk(a, b, seed, index, count):
@@ -116,16 +138,7 @@ def _haar_chunk(a, b, seed, index, count):
     den = np.einsum("ij,ij->i", out.conj(), out).real
     ok = den > _ZERO_NORM
     f = num[ok] / den[ok]
-    return (
-        float(f.sum()),
-        float((f * f).sum()),
-        int(ok.sum()),
-        float(num.sum()),
-        float(den.sum()),
-        float((num * num).sum()),
-        float((den * den).sum()),
-        float((num * den).sum()),
-    )
+    return float(f.sum()), float((f * f).sum()), int(ok.sum())
 
 
 def haar_avg_gate_fidelity(
@@ -133,14 +146,12 @@ def haar_avg_gate_fidelity(
     u: GateOpMatrix,
     samples: int = 100_000,
     seed: int = 0,
-    weight_by_success: bool = False,
     n_threads: int | None = None,
 ) -> FidelityReport:
     """Monte Carlo Haar-average post-selected fidelity of M against U.
 
-    Default weighting gives every input's normalized output fidelity
-    equal weight; `weight_by_success` instead weights each input by its
-    success probability (ratio-of-means), for sensitivity checks.
+    Every input's normalized output fidelity has equal weight; see
+    haar_weighted_gate_fidelity for the success-weighted average.
     """
     a, b = m.entries, u.entries
     if a.shape != b.shape:
@@ -163,31 +174,15 @@ def haar_avg_gate_fidelity(
         stats = [_haar_chunk(a, b, seed, i, c) for i, c in enumerate(counts)]
 
     # reduce in chunk order: identical result for any worker count
-    sum_f = sum_f2 = sum_num = sum_den = sum_num2 = sum_den2 = sum_nd = 0.0
+    sum_f = sum_f2 = 0.0
     n_ok = 0
-    for s in stats:
-        sum_f += s[0]
-        sum_f2 += s[1]
-        n_ok += s[2]
-        sum_num += s[3]
-        sum_den += s[4]
-        sum_num2 += s[5]
-        sum_den2 += s[6]
-        sum_nd += s[7]
-
-    if weight_by_success:
-        if sum_den <= _ZERO_NORM:
-            raise PostSelectionError("every sample was annihilated")
-        value = sum_num / sum_den
-        n = samples
-        resid = max(sum_num2 - 2 * value * sum_nd + value**2 * sum_den2, 0.0)
-        mean_den = sum_den / n
-        stderr = math.sqrt(resid / max(n - 1, 1)) / (mean_den * math.sqrt(n))
-    else:
-        if n_ok == 0:
-            raise PostSelectionError("every sample was annihilated")
-        value = sum_f / n_ok
-        var = max(sum_f2 / n_ok - value**2, 0.0)
-        stderr = math.sqrt(var / max(n_ok - 1, 1))
-    tag = "haar_avg_weighted" if weight_by_success else "haar_avg"
-    return FidelityReport(tag, float(value), float(stderr), samples, seed)
+    for f, f2, k in stats:
+        sum_f += f
+        sum_f2 += f2
+        n_ok += k
+    if n_ok == 0:
+        raise PostSelectionError("every sample was annihilated")
+    value = sum_f / n_ok
+    var = max(sum_f2 / n_ok - value**2, 0.0)
+    stderr = math.sqrt(var / max(n_ok - 1, 1))
+    return FidelityReport("haar_avg", float(value), float(stderr), samples, seed)

@@ -32,6 +32,13 @@ from .qstate import GateOpMatrix
 REACH_SHIFT_OVER_RABI = 100.0
 
 
+def _distance(distance_um: float) -> float:
+    """The one check on a blockade distance; NaN would silently mean no blockade."""
+    if not math.isfinite(distance_um):
+        raise ConfigError(f"blockade distance must be finite, got {distance_um}")
+    return distance_um
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     area: float  # radians, Omega*t
@@ -39,8 +46,8 @@ class PulseSpec:
     phase: float = 0.0  # laser phase
 
     def __post_init__(self):
-        if self.area < 0:
-            raise ConfigError(f"pulse area must be >= 0, got {self.area}")
+        if not 0 <= self.area < math.inf:
+            raise ConfigError(f"pulse area must be finite and >= 0, got {self.area}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +68,11 @@ class HardSphere:
     radius_um: float = 40.0
 
     def __post_init__(self):
-        if self.radius_um <= 0:
+        if not self.radius_um > 0:
             raise ConfigError(f"blockade radius must be > 0, got {self.radius_um}")
 
     def shift_over_rabi(self, distance_um: float) -> float:
-        return math.inf if distance_um <= self.radius_um else 0.0
+        return math.inf if _distance(distance_um) <= self.radius_um else 0.0
 
     def reach_um(self) -> float:
         return self.radius_um
@@ -79,11 +86,11 @@ class PowerLaw:
     reference_rabi_mhz: float = 1.0
 
     def __post_init__(self):
-        if self.c6_mhz_um6 <= 0 or self.reference_rabi_mhz <= 0:
+        if not (self.c6_mhz_um6 > 0 and self.reference_rabi_mhz > 0):
             raise ConfigError("C6 and reference Rabi must be > 0")
 
     def shift_over_rabi(self, distance_um: float) -> float:
-        if distance_um <= 0:
+        if _distance(distance_um) <= 0:
             return math.inf
         return (self.c6_mhz_um6 / distance_um**6) / self.reference_rabi_mhz
 
@@ -130,7 +137,7 @@ def pair_propagator(
     two-level {g2g2, sym} system at effective area sqrt(2)*area, with
     rr frozen.
     """
-    if area < 0:
+    if not area >= 0:
         raise ConfigError(f"pulse area must be >= 0, got {area}")
     if not math.isfinite(pair_shift_over_rabi):
         u2 = two_level_propagator(
@@ -166,8 +173,8 @@ def scheme1_cp_matrix(
     """
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"eta must be in [0,1], got {eta}")
-    if blockade_shift_over_rabi < 0:
-        raise ConfigError("blockade shift must be >= 0")
+    if not blockade_shift_over_rabi >= 0:
+        raise ConfigError(f"blockade shift must be >= 0, got {blockade_shift_over_rabi}")
     e1, e2, e3 = pulse_area_errors
     s = math.sqrt(eta)
     u1 = two_level_propagator(PulseSpec(math.pi * e1)).entries
@@ -203,8 +210,10 @@ def scheme2_cp_matrix(
     """
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"eta must be in [0,1], got {eta}")
-    if area <= 0:
+    if not area > 0:
         raise ConfigError(f"pulse area must be > 0, got {area}")
+    if not b_over_rabi >= 0:
+        raise ConfigError(f"blockade shift must be >= 0, got {b_over_rabi}")
     s = math.sqrt(eta)
     single = two_level_propagator(PulseSpec(area)).entries[0, 0]
     pair = scheme2_pair_return(area, b_over_rabi)

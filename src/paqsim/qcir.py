@@ -2,8 +2,8 @@
 
 Both formats are flat and line-oriented: '#' starts a comment, tokens
 are whitespace-separated, gate names are case-insensitive, angles are in
-degrees. Parse errors carry the 1-based line and column of the
-offending token and never return a partial program.
+degrees, numbers are finite. Parse errors carry the 1-based line and
+column of the offending token and never return a partial program.
 
 .qc grammar:
     qubits <n>
@@ -27,6 +27,7 @@ Blockade reach for cp pairs is checked at run time with an inclusive
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ConfigError, ParseError
@@ -60,9 +61,12 @@ def _int(tok, col, line, what):
 
 def _float(tok, col, line, what):
     try:
-        return float(tok)
+        x = float(tok)
     except ValueError:
         raise ParseError(f"{what} must be a number, got {tok!r}", line, col) from None
+    if not math.isfinite(x):
+        raise ParseError(f"{what} must be finite, got {tok!r}", line, col)
+    return x
 
 
 def _index(tok, col, line, n, what):

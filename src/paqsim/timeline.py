@@ -141,7 +141,7 @@ def run_timeline(
             state = apply_gate(state, PLATES[plate.kind](plate.angle_deg), (q,))
         for i, j in step.cp_pairs:
             d = program.distance(i, j)
-            if d > reach:
+            if not d <= reach:
                 raise GatePlacementError(
                     f"cp pair ({i}, {j}) at {d:.6g} um exceeds "
                     f"blockade reach {reach:.6g} um"

@@ -13,6 +13,14 @@ import pytest
 import paqsim
 from paqsim import (
     CNOT,
+    ConfigError,
+    EmptyMemoryError,
+    GatePlacementError,
+    MemoryCapacityError,
+    NumericError,
+    PaqsimError,
+    ParseError,
+    PostSelectionError,
     basis_avg_gate_fidelity,
     ghz_transfer_eval,
     GhzTopology,
@@ -376,6 +384,96 @@ def test_micro_double_write_pairs(capsys):
 def test_micro_bad_protocols(capsys):
     assert cli(capsys, "micro", "write-florp")[0] == 3
     assert cli(capsys, "micro", "-")[0] == 3
+
+
+def test_micro_second_photon_over_pair_cap(capsys):
+    code, out, err = cli(capsys, "micro", "write-write", "--atoms", "448")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a second photon in 448 atoms needs C(448,2) = 100128 pair "
+        "amplitudes, over the cap of 100000"
+    ]
+
+
+# ---------------------------------------------------------- error handling
+
+
+NON_FINITE_ARGV = [
+    ["pulse", "--scheme", "2", "--area-pi", "nan"],
+    ["pulse", "--scheme", "2", "--area-pi", "inf"],
+    ["pulse", "--scheme", "1", "--b-over-omega", "nan"],
+    ["pulse", "--scheme", "2", "--b-over-omega", "nan"],
+    ["pulse", "--scheme", "1", "--area-errors", "nan,1,1"],
+    ["pulse", "--scheme", "1", "--blockade", "hard:nan"],
+    ["pulse", "--scheme", "1", "--blockade", "c6:nan"],
+    ["pulse", "--scheme", "1", "--blockade", "hard:40", "--distance-um", "nan"],
+    ["pulse", "--scheme", "1", "--blockade", "c6:1e6", "--distance-um", "inf"],
+    ["micro", "write-write-pi", "--blockade", "hard:nan"],
+    ["micro", "write-write-pi", "--blockade", "c6:nan"],
+    ["micro", "write-pi-read", "--sigma-um", "nan"],
+    ["micro", "write-pi-read", "--kvec", "nan,0,0"],
+    ["micro", "write-nanpi-read"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV, ids=" ".join)
+def test_non_finite_numbers_are_config_errors(capsys, argv):
+    code, out, err = cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "no g2 excitation" not in err
+
+
+def test_infinite_shift_is_still_perfect_blockade(capsys):
+    code, out, _ = cli(capsys, "pulse", "--scheme", "1", "--b-over-omega", "inf")
+    assert code == 0
+    assert json.loads(out)["fidelity_basis"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("run", "bad.qc", "qubits 1\nqwp 0 nan\n", "line 2, column 7"),
+        ("timeline", "bad.qtl", "qms 1\nstep:\npmu 0 qwp inf\n", "line 3, column 11"),
+    ],
+)
+def test_non_finite_file_numbers_are_parse_errors(tmp_path, capsys, command, name, text, where):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {where}: angle must be finite")
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        PaqsimError("base"),
+        ParseError("bad token", 4, 2),
+        ConfigError("bad flag"),
+        NumericError("zero norm"),
+        MemoryCapacityError("full"),
+        EmptyMemoryError("empty"),
+        GatePlacementError("too far"),
+        PostSelectionError("all lost"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_every_error_class_exits_with_its_code(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(paqsim.cli, "_cmd_ghz", fail)
+    code, out, err = cli(capsys, "ghz", "--n", "3", "--eta", "0.5")
+    assert code == exc.exit_code
+    assert out == ""
+    assert err.splitlines() == [f"error: {exc}"]
 
 
 # ------------------------------------------------------ cross-process checks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paqsim.memory
 from paqsim import (
     CollectiveState,
     ConfigError,
@@ -38,6 +39,18 @@ def test_ensemble_validation():
         EnsembleConfig(np.zeros((2, 2)), K_DEFAULT)
     with pytest.raises(ConfigError):
         EnsembleConfig(np.zeros((2, 3)), np.zeros(2))
+
+
+def test_ensemble_rejects_non_finite_numbers():
+    for bad in (math.nan, math.inf):
+        pos = np.zeros((2, 3))
+        pos[1, 2] = bad
+        with pytest.raises(ConfigError):
+            EnsembleConfig(pos, K_DEFAULT)
+        with pytest.raises(ConfigError):
+            EnsembleConfig(np.zeros((2, 3)), np.array([bad, 0.0, 0.0]))
+        with pytest.raises(ConfigError):
+            gaussian_cloud(3, bad)
 
 
 def test_gaussian_cloud_is_seeded():
@@ -123,6 +136,20 @@ def test_write_capacity_and_level_errors():
         write_photon(single_atom, write_photon(single_atom))
     with pytest.raises(ConfigError):
         write_photon(ens, CollectiveState({((0, "r"),): 1.0}))
+
+
+def test_second_write_is_capped_before_the_pair_loop(monkeypatch):
+    ens = EnsembleConfig(np.zeros((448, 3)), K_DEFAULT)
+    one = write_photon(ens)
+    with pytest.raises(MemoryCapacityError, match=r"448 atoms .* C\(448,2\) = 100128 .* 100000"):
+        write_photon(ens, one)
+    # the bound is inclusive: C(N,2) == cap is still written
+    monkeypatch.setattr(paqsim.memory, "MAX_PAIRS", 3)
+    small = make_ensemble(3, seed=1)
+    assert len(write_photon(small, write_photon(small)).amplitudes) == 3
+    small = make_ensemble(4, seed=1)
+    with pytest.raises(MemoryCapacityError):
+        write_photon(small, write_photon(small))
 
 
 def test_matched_read_returns_sqrt_eta():

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paqsim import (
     CNOT,
@@ -15,9 +17,11 @@ from paqsim import (
     efficiency_basis_avg,
     ghz_state,
     haar_avg_gate_fidelity,
+    haar_weighted_gate_fidelity,
     init_basis,
     lossy_cnot,
     process_fidelity_postselected,
+    scheme1_cp_matrix,
     scheme2_cp_matrix,
     state_fidelity_postselected,
 )
@@ -138,12 +142,92 @@ def test_haar_regression_scheme2():
 
 
 def test_haar_weighted_variant():
-    report = haar_avg_gate_fidelity(
-        lossy_cnot(0.33), CNOT, samples=50_000, seed=0, weight_by_success=True
-    )
-    assert report.definition == "haar_avg_weighted"
-    assert 0.85 < report.value < 0.95
-    assert report.stderr < 1e-2
+    # lossy CNOT: tr(CNOT^dag M) = (1 + sqrt(eta))^2 and tr(M^dag M) = (1 + eta)^2
+    s = math.sqrt(0.33)
+    exact = ((1 + s) ** 4 + 1.33**2) / (5 * 1.33**2)
+    value = haar_weighted_gate_fidelity(lossy_cnot(0.33), CNOT)
+    assert abs(value - exact) < 1e-12
+    assert abs(value - 0.8947828964846211) < 1e-12
+
+
+def test_haar_weighted_closed_form_in_eta():
+    for eta in np.arange(0.0, 1.0001, 0.01):
+        s = math.sqrt(eta)
+        exact = ((1 + s) ** 4 + (1 + eta) ** 2) / (5 * (1 + eta) ** 2)
+        assert abs(haar_weighted_gate_fidelity(lossy_cnot(float(eta)), CNOT) - exact) < 1e-12
+    assert abs(haar_weighted_gate_fidelity(lossy_cnot(0.0), CNOT) - 0.4) < 1e-15
+
+
+def test_haar_weighted_validation():
+    with pytest.raises(ConfigError):
+        haar_weighted_gate_fidelity(GateOpMatrix(np.eye(2)), CNOT)
+    with pytest.raises(PostSelectionError):
+        haar_weighted_gate_fidelity(GateOpMatrix(np.zeros((4, 4))), CNOT)
+
+
+# the five gates whose Monte Carlo estimate the closed form replaced, and a
+# non-unitary target: the formula holds for any U
+WEIGHTED_CASES = {
+    "cnot eta=0.33": (lossy_cnot(0.33), CNOT),
+    "cnot eta=0.7": (lossy_cnot(0.7), CNOT),
+    "cnot eta=0": (lossy_cnot(0.0), CNOT),
+    "scheme2 cp": (scheme2_cp_matrix(1.0), CP),
+    "scheme1 cp B/Omega=3": (scheme1_cp_matrix(1.0, 3.0, (1.05, 0.97, 1.0)), CP),
+    "lossy target": (lossy_cnot(0.33), lossy_cnot(0.5)),
+}
+
+
+def test_haar_weighted_matches_independent_monte_carlo():
+    # plain numpy Haar inputs, independent of the package's chunked sampler
+    n = 200_000
+    rng = np.random.default_rng(20240)
+    z = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    for name, (m, u) in WEIGHTED_CASES.items():
+        a, b = m.entries, u.entries
+        out, ref = z @ a.T, z @ b.T
+        num = np.abs(np.sum(ref.conj() * out, axis=1)) ** 2
+        den = np.sum(np.abs(out) ** 2, axis=1)
+        t = b.conj().T @ a
+        exact_num = (abs(np.trace(t)) ** 2 + np.sum(np.abs(t) ** 2)) / 20
+        exact_den = np.sum(np.abs(a) ** 2) / 4
+        for sample, exact in ((num, exact_num), (den, exact_den)):
+            se = sample.std(ddof=1) / math.sqrt(n)
+            assert abs(sample.mean() - exact) <= 4 * se + 1e-12, name
+        assert haar_weighted_gate_fidelity(m, u) == pytest.approx(
+            exact_num / exact_den, abs=1e-14
+        ), name
+
+
+def _haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 4]),
+    st.floats(1e-3, 1.0),
+)
+def test_haar_weighted_is_process_fidelity_affine(seed, d, c):
+    rng = np.random.default_rng(seed)
+    u = GateOpMatrix(_haar_unitary(rng, d))
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = GateOpMatrix(c * raw / np.linalg.norm(raw, 2))  # largest singular value c
+    value = haar_weighted_gate_fidelity(m, u)
+    assert 0.0 <= value <= 1.0
+    process = process_fidelity_postselected(m, u)
+    assert abs(value - (d * process + 1) / (d + 1)) < 1e-12
+    scaled = GateOpMatrix(c * np.exp(1j * seed) * u.entries)
+    assert abs(haar_weighted_gate_fidelity(scaled, u) - 1.0) < 1e-12
+
+
+def test_haar_chunk_returns_the_three_plain_sums():
+    a, b = lossy_cnot(0.33).entries, CNOT.entries
+    sum_f, sum_f2, n_ok = paqsim.metrics._haar_chunk(a, b, 0, 0, 1000)
+    assert n_ok == 1000
+    assert 0.0 < sum_f2 <= sum_f <= n_ok
 
 
 def test_haar_validation():

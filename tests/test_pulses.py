@@ -97,6 +97,37 @@ def test_blockade_model_validation():
         PowerLaw(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PulseSpec(math.nan),
+        lambda: PulseSpec(math.inf),
+        lambda: HardSphere(math.nan),
+        lambda: PowerLaw(math.nan),
+        lambda: PowerLaw(1.0, math.nan),
+        lambda: HardSphere(40.0).shift_over_rabi(math.nan),
+        lambda: HardSphere(40.0).shift_over_rabi(math.inf),
+        lambda: PowerLaw(1e6).shift_over_rabi(math.nan),
+        lambda: pair_propagator(math.nan, 1.0),
+        lambda: scheme1_cp_matrix(1.0, math.nan),
+        lambda: scheme1_cp_matrix(1.0, math.inf, (math.nan, 1.0, 1.0)),
+        lambda: scheme2_cp_matrix(1.0, math.nan),
+        lambda: scheme2_cp_matrix(1.0, 10 * math.pi, math.nan),
+    ],
+)
+def test_range_checks_reject_nan_and_meaningless_inf(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_infinity_keeps_its_meaning():
+    assert HardSphere(math.inf).shift_over_rabi(1e6) == math.inf
+    assert PowerLaw(1e6).shift_over_rabi(0.0) == math.inf
+    np.testing.assert_allclose(
+        scheme1_cp_matrix(1.0, math.inf).entries, np.diag([1, -1, -1, -1]), atol=1e-15
+    )
+
+
 def test_pair_propagator_unitary_and_blocked_limit():
     rng = np.random.default_rng(4)
     for _ in range(20):

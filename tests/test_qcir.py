@@ -109,6 +109,13 @@ def test_parse_circuit_non_numeric_angle():
     assert "number" in str(e)
 
 
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_circuit_non_finite_angle(tok):
+    e = err(parse_circuit, f"qubits 2\nh 1\n  qwp 0 {tok}\n")
+    assert (e.line, e.column) == (3, 9)
+    assert f"angle must be finite, got {tok!r}" in str(e)
+
+
 def test_parse_circuit_repeated_qubit():
     e = err(parse_circuit, "qubits 2\ncp 0 0\n")
     assert (e.line, e.column) == (2, 6)
@@ -225,6 +232,24 @@ def test_parse_timeline_unknown_statement_and_bad_count():
     assert "unknown statement 'blah'" in str(e)
     e = err(parse_timeline, "qms 0\n")
     assert (e.line, e.column) == (1, 5)
+
+
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
+def test_parse_timeline_non_finite_pmu_angle(tok):
+    e = err(parse_timeline, f"qms 2\nstep:\npmu 1 hwp {tok}\n")
+    assert (e.line, e.column) == (3, 11)
+    assert f"angle must be finite, got {tok!r}" in str(e)
+
+
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
+def test_parse_timeline_non_finite_pos(tok):
+    # a NaN distance would pass the blockade-reach check of a later cp
+    e = err(parse_timeline, f"qms 2\npos 0 {tok}\nstep:\ncp 0 1\n")
+    assert (e.line, e.column) == (2, 7)
+    assert f"x coordinate must be finite, got {tok!r}" in str(e)
+    e = err(parse_timeline, f"qms 2\npos 1 3.5 {tok}\n")
+    assert (e.line, e.column) == (2, 11)
+    assert f"y coordinate must be finite, got {tok!r}" in str(e)
 
 
 def test_timeline_round_trip_preserves_positions():

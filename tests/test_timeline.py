@@ -242,6 +242,14 @@ def test_cp_reach_enforced():
     assert trace.executed_steps == 1
 
 
+def test_cp_reach_rejects_nan_distance():
+    program = TimelineProgram(
+        2, ((0.0, 0.0), (math.nan, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+    )
+    with pytest.raises(GatePlacementError, match="at nan um"):
+        run_timeline(program, 0.9)
+
+
 def test_run_timeline_validation():
     program = idle_program(1, 1)
     with pytest.raises(ConfigError):
