@@ -113,12 +113,13 @@ def _matrix_json(m: np.ndarray) -> list:
 
 
 def _amplitudes_json(state) -> dict:
-    out = {}
-    for idx, amp in enumerate(state.amplitudes):
-        if abs(amp) > 1e-12:
-            bits = format(idx, f"0{state.n_qubits}b")
-            out[bits] = [float(amp.real), float(amp.imag)]
-    return out
+    amps = state.amplitudes
+    idx = np.flatnonzero(np.abs(amps) > 1e-12)
+    picked = amps[idx]
+    return {
+        format(i, f"0{state.n_qubits}b"): [re, im]
+        for i, re, im in zip(idx.tolist(), picked.real.tolist(), picked.imag.tolist())
+    }
 
 
 def _cp_model_from_args(args):

@@ -16,6 +16,7 @@ to reach N ~ 10^2 and beyond at O(N) cost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .optics import PLATES
 from .pulses import scheme1_cp_matrix, scheme2_cp_matrix
-from .qstate import GateOpMatrix, StateVector, apply_gate, init_basis
+from .qstate import GateOpMatrix, StateVector, evolve, init_basis
 
 HADAMARD = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 PHASE = GateOpMatrix(np.diag([1.0, -1.0j]))
@@ -158,27 +159,25 @@ def lossy_cnot(eta: float) -> GateOpMatrix:
     return cnot_from_cp(cp_ideal_with_loss(eta))
 
 
-def _op_gate(op: CircuitOp, eta: float, cp_model: CpModel) -> GateOpMatrix:
-    spec = GATES.get(op.kind)
-    return op.matrix if spec is None else spec.build(op.angle_deg, eta, cp_model)
-
-
 def run_circuit(
     circuit: CircuitIR,
     eta: float = 1.0,
     cp_model: CpModel = cp_ideal_with_loss,
     initial: StateVector | None = None,
 ) -> StateVector:
-    """Apply every op in order; the result is an unnormalized branch."""
+    """Apply every op in order; the result is an unnormalized branch.
+
+    Each distinct (kind, angle) gate is built once per call.
+    """
     if initial is None:
-        state = init_basis(circuit.n_qubits, "0" * circuit.n_qubits)
-    else:
-        if initial.n_qubits != circuit.n_qubits:
-            raise ConfigError("initial state size does not match circuit")
-        state = initial
-    for op in circuit.ops:
-        state = apply_gate(state, _op_gate(op, eta, cp_model), op.targets)
-    return state
+        initial = init_basis(circuit.n_qubits, "0" * circuit.n_qubits)
+    elif initial.n_qubits != circuit.n_qubits:
+        raise ConfigError("initial state size does not match circuit")
+    build = functools.cache(lambda kind, angle: GATES[kind].build(angle, eta, cp_model))
+    return evolve(initial, [
+        (op.matrix if op.kind == "custom" else build(op.kind, op.angle_deg), op.targets)
+        for op in circuit.ops
+    ])
 
 
 def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> CircuitIR:
@@ -192,12 +191,16 @@ def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> Circu
     return CircuitIR(n, tuple(ops))
 
 
-def ghz_state(n: int) -> StateVector:
+def _ghz_amplitudes(n: int) -> np.ndarray:
     if n < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return StateVector(n, amps)
+    return amps
+
+
+def ghz_state(n: int) -> StateVector:
+    return StateVector(n, _ghz_amplitudes(n))
 
 
 def _branch_transfers(eta: float) -> tuple[float, float, float, float]:
@@ -251,6 +254,5 @@ def ghz_dense_eval(
     prob = out.norm_sq
     if prob <= 0.0:
         raise ConfigError("GHZ branch has zero success probability")
-    ideal = ghz_state(n)
-    overlap = np.vdot(ideal.amplitudes, out.amplitudes)
+    overlap = np.vdot(_ghz_amplitudes(n), out.amplitudes)
     return float(abs(overlap) ** 2 / prob), float(prob)

@@ -33,10 +33,19 @@ REACH_SHIFT_OVER_RABI = 100.0
 
 
 def _distance(distance_um: float) -> float:
-    """The one check on a blockade distance; NaN would silently mean no blockade."""
-    if not math.isfinite(distance_um):
-        raise ConfigError(f"blockade distance must be finite, got {distance_um}")
+    """The one check on a blockade distance; NaN would silently mean no
+    blockade and a negative one full blockade."""
+    if not 0 <= distance_um < math.inf:
+        raise ConfigError(f"blockade distance must be finite and >= 0, got {distance_um}")
     return distance_um
+
+
+def _drive(detuning_over_rabi: float, phase: float) -> None:
+    """The one check on a laser drive; an infinite detuning means no drive."""
+    if math.isnan(detuning_over_rabi):
+        raise ConfigError("pulse detuning must not be NaN")
+    if not math.isfinite(phase):
+        raise ConfigError(f"pulse phase must be finite, got {phase}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,7 @@ class PulseSpec:
     def __post_init__(self):
         if not 0 <= self.area < math.inf:
             raise ConfigError(f"pulse area must be finite and >= 0, got {self.area}")
+        _drive(self.detuning_over_rabi, self.phase)
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,9 @@ def pair_propagator(
     """
     if not area >= 0:
         raise ConfigError(f"pulse area must be >= 0, got {area}")
+    if math.isnan(pair_shift_over_rabi):
+        raise ConfigError("pair blockade shift must not be NaN")
+    _drive(detuning_over_rabi, phase)
     if not math.isfinite(pair_shift_over_rabi):
         u2 = two_level_propagator(
             PulseSpec(math.sqrt(2) * area, detuning_over_rabi / math.sqrt(2), phase)

@@ -23,7 +23,7 @@ from .errors import ConfigError, GatePlacementError
 from .gates import CpModel, cp_ideal_with_loss
 from .optics import PLATES
 from .pulses import BlockadeModel, HardSphere
-from .qstate import StateVector, apply_gate, init_basis
+from .qstate import StateVector, evolve, init_basis
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,7 @@ def run_timeline(
     for step in program.steps:
         if trace.cumulative_success * cycle < stop_threshold:
             break
-        norm_before = state.norm_sq
-        for q, plate in step.pmu_ops:
-            state = apply_gate(state, PLATES[plate.kind](plate.angle_deg), (q,))
+        ops = [(PLATES[plate.kind](plate.angle_deg), (q,)) for q, plate in step.pmu_ops]
         for i, j in step.cp_pairs:
             d = program.distance(i, j)
             if not d <= reach:
@@ -146,7 +144,9 @@ def run_timeline(
                     f"cp pair ({i}, {j}) at {d:.6g} um exceeds "
                     f"blockade reach {reach:.6g} um"
                 )
-            state = apply_gate(state, cp_gate, (i, j))
+            ops.append((cp_gate, (i, j)))
+        norm_before = state.norm_sq
+        state = evolve(state, ops)
         survival = cycle * state.norm_sq / norm_before
         trace.per_step_survival.append(float(survival))
         trace.cumulative_success *= float(survival)

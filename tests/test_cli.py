@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paqsim
@@ -302,6 +303,23 @@ def test_run_error_exit_codes(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_amplitudes_json_keeps_the_old_selection():
+    from paqsim import StateVector
+    from paqsim.cli import _amplitudes_json
+
+    amps = np.array([1e-12, np.nextafter(1e-12, 1.0), complex(0.5, -0.0), complex(-0.0, 2e-12),
+                     0.0, 1e-12j, complex(7e-13, 7.2e-13), -0.25 + 0.125j])
+    state = StateVector(3, amps)
+    old = {}
+    for idx, amp in enumerate(state.amplitudes):
+        if abs(amp) > 1e-12:
+            old[format(idx, "03b")] = [float(amp.real), float(amp.imag)]
+    new = _amplitudes_json(state)
+    assert json.dumps(new) == json.dumps(old)
+    assert list(new) == ["001", "010", "011", "110", "111"]
+    assert new["010"] == [0.5, -0.0] and math.copysign(1.0, new["010"][1]) == -1.0
+
+
 # ------------------------------------------------------------------ timeline
 
 
@@ -426,6 +444,14 @@ def test_non_finite_numbers_are_config_errors(capsys, argv):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "no g2 excitation" not in err
+
+
+def test_negative_distance_is_a_config_error(capsys):
+    argv = ["pulse", "--scheme", "1", "--blockade", "hard:40", "--distance-um", "-5"]
+    code, out, err = cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: blockade distance must be finite and >= 0, got -5.0"]
 
 
 def test_infinite_shift_is_still_perfect_blockade(capsys):

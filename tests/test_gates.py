@@ -14,6 +14,7 @@ from paqsim import (
     ConfigError,
     GateOpMatrix,
     GhzTopology,
+    StateVector,
     apply_gate,
     build_ghz_circuit,
     cnot_from_cp,
@@ -26,6 +27,7 @@ from paqsim import (
     ghz_transfer_eval,
     init_basis,
     lossy_cnot,
+    qwp,
     run_circuit,
 )
 
@@ -138,6 +140,36 @@ def test_run_circuit_rejects_mismatched_initial():
     circuit = CircuitIR(2, ())
     with pytest.raises(ConfigError):
         run_circuit(circuit, initial=init_basis(3, "000"))
+
+
+def test_run_circuit_leaves_initial_untouched():
+    rng = np.random.default_rng(12)
+    initial = StateVector(3, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    before = initial.amplitudes.copy()
+    circuit = CircuitIR(3, (CircuitOp("h", (2,)), CircuitOp("cnot", (2, 0))))
+    out = run_circuit(circuit, 0.7, initial=initial)
+    np.testing.assert_array_equal(initial.amplitudes, before)
+    assert not out.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 1.0
+
+
+def test_run_circuit_builds_each_distinct_gate_once():
+    calls = []
+
+    def model(eta):
+        calls.append(eta)
+        return cp_ideal_with_loss(eta)
+
+    ops = [CircuitOp("cp", (0, 1)), CircuitOp("cnot", (1, 2)), CircuitOp("cp", (2, 0))]
+    ops += [CircuitOp("qwp", (0,), 30.0), CircuitOp("qwp", (1,), 30.0)]
+    out = run_circuit(CircuitIR(3, tuple(ops)), 0.5, model)
+    assert calls == [0.5, 0.5]  # once for cp, once inside cnot
+    step = init_basis(3, "000")
+    for op in ops:
+        gate = {"cp": cp_ideal_with_loss(0.5), "cnot": lossy_cnot(0.5)}.get(op.kind)
+        step = apply_gate(step, gate or qwp(30.0), op.targets)
+    np.testing.assert_array_equal(out.amplitudes, step.amplitudes)
 
 
 def test_custom_op_runs():

@@ -113,6 +113,14 @@ def test_blockade_model_validation():
         lambda: scheme1_cp_matrix(1.0, math.inf, (math.nan, 1.0, 1.0)),
         lambda: scheme2_cp_matrix(1.0, math.nan),
         lambda: scheme2_cp_matrix(1.0, 10 * math.pi, math.nan),
+        lambda: PulseSpec(math.pi, math.nan),
+        lambda: PulseSpec(math.pi, 0.0, math.nan),
+        lambda: PulseSpec(math.pi, 0.0, math.inf),
+        lambda: pair_propagator(math.pi, math.nan),
+        lambda: pair_propagator(math.pi, 1.0, math.nan),
+        lambda: pair_propagator(math.pi, math.inf, 0.0, -math.inf),
+        lambda: HardSphere(40.0).shift_over_rabi(-5.0),
+        lambda: PowerLaw(1e6).shift_over_rabi(-1e-9),
     ],
 )
 def test_range_checks_reject_nan_and_meaningless_inf(build):
@@ -122,7 +130,13 @@ def test_range_checks_reject_nan_and_meaningless_inf(build):
 
 def test_infinity_keeps_its_meaning():
     assert HardSphere(math.inf).shift_over_rabi(1e6) == math.inf
+    assert HardSphere(40.0).shift_over_rabi(0.0) == math.inf
     assert PowerLaw(1e6).shift_over_rabi(0.0) == math.inf
+    # an infinite detuning is no drive
+    np.testing.assert_array_equal(
+        two_level_propagator(PulseSpec(math.pi, math.inf)).entries, np.eye(2)
+    )
+    np.testing.assert_array_equal(pair_propagator(math.pi, math.inf, math.inf), np.eye(3))
     np.testing.assert_allclose(
         scheme1_cp_matrix(1.0, math.inf).entries, np.diag([1, -1, -1, -1]), atol=1e-15
     )

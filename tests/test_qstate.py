@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paqsim import (
@@ -12,11 +12,13 @@ from paqsim import (
     GateOpMatrix,
     StateVector,
     apply_gate,
+    evolve,
     init_basis,
     lossy_cnot,
     cp_ideal_with_loss,
     success_probability,
 )
+from paqsim.qstate import STRIDED_MIN
 
 PAULI_X = GateOpMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -180,3 +182,125 @@ def test_apply_gate_matches_kron_reference(n, arity, data):
     np.testing.assert_allclose(
         out.amplitudes, kron_reference(gate, targets, n) @ state.amplitudes, atol=1e-12
     )
+
+
+# ------------------------------------------------------------- evolve kernel
+
+
+def tensordot_reference(amps, gate, targets, n):
+    """One op by np.tensordot, the arithmetic both kernel paths reproduce."""
+    k = len(targets)
+    psi = np.tensordot(
+        gate.entries.reshape([2] * (2 * k)),
+        np.asarray(amps).reshape([2] * n),
+        axes=(list(range(k, 2 * k)), list(targets)),
+    )
+    return np.moveaxis(psi, range(k), targets).reshape(-1)
+
+
+def scaled(rng, m):
+    return GateOpMatrix(m / np.linalg.norm(m, 2) * rng.uniform(0.2, 1.0))
+
+
+def gate_of_kind(kind, rng):
+    """General 2x2, diagonal 4x4, control-block-diagonal 4x4 or general 4x4."""
+    if kind == "2x2":
+        return scaled(rng, random_unitary(rng, 2).entries * rng.uniform(0.5, 1, (2, 2)))
+    if kind == "diagonal":
+        return scaled(rng, np.diag(np.exp(1j * rng.uniform(0, 7, 4)) * rng.uniform(0.1, 1, 4)))
+    if kind == "control-block":
+        m = np.zeros((4, 4), dtype=complex)
+        m[:2, :2] = random_unitary(rng, 2).entries
+        m[2:, 2:] = random_unitary(rng, 2).entries * rng.uniform(0.1, 1)
+        return scaled(rng, m)
+    return scaled(rng, random_unitary(rng, 4).entries * rng.uniform(0.5, 1, (4, 4)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 9), st.data())
+def test_evolve_matches_tensordot_reference(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = ["2x2"] if n == 1 else ["2x2", "diagonal", "control-block", "custom"]
+    ops = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        gate = gate_of_kind(data.draw(st.sampled_from(kinds)), rng)
+        order = data.draw(st.permutations(range(n)))
+        ops.append((gate, tuple(order[: gate.arity])))
+    state = random_state(rng, n)
+    want = state.amplitudes
+    for gate, targets in ops:
+        want = tensordot_reference(want, gate, targets, n)
+    np.testing.assert_allclose(evolve(state, ops).amplitudes, want, atol=1e-12)
+
+
+# (n, kind, targets, gathered): trailing amplitudes after the highest target
+# are 2^(n-1-max(targets)); the strided path needs STRIDED_MIN = 16 of them
+LAYOUTS = [
+    (6, "2x2", (5,), True),  # target on the last qubit
+    (8, "2x2", (4,), True),  # 8 trailing amplitudes
+    (8, "2x2", (3,), False),  # 16 trailing amplitudes
+    (8, "control-block", (2, 3), False),  # adjacent, control above target
+    (8, "control-block", (3, 2), False),  # adjacent, control below target
+    (8, "control-block", (0, 3), False),  # distant
+    (8, "control-block", (3, 0), False),
+    (8, "diagonal", (1, 3), False),
+    (7, "control-block", (0, 3), True),  # distant, 8 trailing amplitudes
+    (7, "control-block", (3, 0), True),
+    (8, "control-block", (4, 7), True),
+    (8, "custom", (0, 1), True),  # not control-block-diagonal: always gathered
+]
+
+
+@pytest.mark.parametrize("n, kind, targets, gathered", LAYOUTS)
+def test_each_kernel_path_keeps_tensordot_bits(monkeypatch, n, kind, targets, gathered):
+    assert (2 ** (n - 1 - max(targets)) >= STRIDED_MIN) != gathered or kind == "custom"
+    rng = np.random.default_rng(sum(targets) + 10 * n)
+    gate = gate_of_kind(kind, rng)
+    state = random_state(rng, n)
+    dots = []
+    real_dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda *a, **kw: dots.append(1) or real_dot(*a, **kw))
+    out = evolve(state, [(gate, targets)]).amplitudes
+    monkeypatch.undo()
+    assert bool(dots) == gathered
+    want = tensordot_reference(state.amplitudes, gate, targets, n)
+    np.testing.assert_allclose(out, want, atol=1e-12)
+    # the byte-identity rule of the qstate docstring: output must not
+    # depend on which path a layout takes
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def test_evolve_validates_every_op():
+    s = init_basis(2, "00")
+    with pytest.raises(ConfigError, match="out of range"):
+        evolve(s, [(GateOpMatrix(np.eye(2)), (0,)), (GateOpMatrix(np.eye(2)), (2,))])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_gate_matrix_rejects_non_finite_entries(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        GateOpMatrix(m)
+    with pytest.raises(ConfigError, match="finite"):
+        GateOpMatrix(np.diag([1.0, 1.0, 1.0, bad]))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-3e-9, 3e-9), st.sampled_from([2, 4]))
+def test_norm_cap_matches_the_svd(seed, excess, d):
+    # the closed-form 2x2 singular value decides exactly as the SVD would
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if seed % 2:
+        raw[0, 1] = raw[1, 0] = 0.0  # a diagonal 2x2 block
+    m = raw / np.linalg.norm(raw, 2) * (1.0 + excess)
+    smax = np.linalg.norm(m, 2)
+    # both computations are good to a few ulps; within that of the cap
+    # either decision is right
+    assume(abs(smax - (1.0 + 1e-9)) > 1e-14)
+    if smax > 1.0 + 1e-9:
+        with pytest.raises(ConfigError, match="singular value"):
+            GateOpMatrix(m)
+    else:
+        GateOpMatrix(m)
