@@ -315,11 +315,10 @@ def _cmd_micro(args) -> int:
             raise ConfigError(
                 f"unknown op {token!r}; use write, read, or <mult>pi"
             )
-    amps = {}
-    for config in sorted(state.amplitudes):
-        a = state.amplitudes[config]
-        key = "vac" if not config else ";".join(f"{lvl}@{i}" for i, lvl in config)
-        amps[key] = [float(a.real), float(a.imag)]
+    amps = {  # state.amplitudes iterates in sorted configuration order
+        ";".join(f"{lvl}@{i}" for i, lvl in config) or "vac": [a.real, a.imag]
+        for config, a in state.amplitudes.items()
+    }
     record = {
         "n_atoms": args.atoms,
         "ops": tokens,

@@ -2,53 +2,65 @@
 
 A stored photon is a collective spin wave: a superposition over which
 atom sits in |g2>, with per-atom phases phi_j = k.r_j recording the
-photon momentum. States are kept as sparse dictionaries mapping an
-excitation configuration to a complex amplitude. A configuration is a
-tuple of (atom_index, level) pairs sorted by index, level "g2" or "r";
-the empty tuple is the vacuum (every atom in g1). At most two
-excitations are tracked, which covers one or two stored photons and
-keeps the basis O(N^2).
+photon momentum. A configuration is a tuple of (atom_index, level)
+pairs sorted by index, level "g2" or "r"; the empty tuple is the vacuum
+(every atom in g1). At most two excitations are tracked, which covers
+one or two stored photons and keeps the basis O(N^2).
 
-Efficiency handling: writes are ideal and the store-retrieve efficiency
-eta enters once, as sqrt(eta) on the retrieval amplitude. Rydberg
-pulses between write and read are exactly unitary on this basis.
+A `CollectiveState` keeps the vacuum amplitude, K atoms (index array)
+with a (K, 2) array of [g2, r] amplitudes, and P pairs i < j ((P, 2)
+index array) with a (P, 4) array of [gg, rg, gr, rr] amplitudes, first
+level on atom i; absent configurations are zeros. Each operation is one
+array operation per sector with one propagator per distinct (shift,
+detuning), and keeps the bits of the dict engine it replaced (now a test
+oracle): complex products are formed from real parts (numpy's vector
+complex multiply can fuse multiply-adds, its scalar one does not); sums run
+left to right in the dict's insertion order (`np.cumsum`, `np.add.at`,
+`CollectiveState.order`); |a|^2 is hypot squared by libm pow, as in
+`abs(a) ** 2`; propagators come from a stacked `eigh` and act by a
+stacked `np.matmul(u, x[..., None])`.
 
-Reading is post-selected on the photon actually leaving in the
-phase-matched mode. Components holding a Rydberg excitation cannot emit
-and are dropped from the branch; their weight belongs to the loss
-budget. For a doubly-excited state the first retrieval returns the
-mode-annihilated remainder, whose norm can exceed 1 when both photons
-occupy the same collective mode (bosonic stimulation); storing the two
-photons in distinct wavevector modes, as the protocols do, avoids that
-regime.
+Writes are ideal; the store-retrieve efficiency eta enters once, as
+sqrt(eta) on the retrieval amplitude, and Rydberg pulses are exactly
+unitary on this basis. Reading is post-selected on the photon leaving in
+the phase-matched mode: components holding a Rydberg excitation cannot
+emit and their weight belongs to the loss budget. For a doubly-excited
+state the first retrieval returns the mode-annihilated remainder, whose
+norm can exceed 1 when both photons share a collective mode (bosonic
+stimulation); the protocols store them in distinct wavevector modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyMemoryError,
-    MemoryCapacityError,
-)
-from .pulses import BlockadeModel, PulseSpec, pair_propagator, two_level_propagator
+from .errors import ConfigError, EmptyMemoryError, MemoryCapacityError
+from .pulses import BlockadeModel, PulseSpec, pair_propagators, two_level_propagator
 from .qstate import GateOpMatrix
 
 Config = tuple[tuple[int, str], ...]
+LEVELS = ("g2", "r")
 
-# amplitudes below this are dropped when pruning a state dict
+# amplitudes below this are dropped when pruning a state
 PRUNE_TOL = 1e-15
 
 # a branch counts as Rydberg-occupied above this population
 RYDBERG_PRESENCE_TOL = 1e-9
 
-# largest C(N,2) a second write may build: about 2.3 KiB of dict state and
-# 120 us of pulse time per pair, so N <= 447 atoms
-MAX_PAIRS = 100_000
+# largest C(N,2) a second write may build, so N <= 2000 atoms (80 B per
+# pair); `micro write-write-pi-read-read --atoms 2000` peaks at 668 MiB RSS
+# under perfect blockade (3.5 s) and 808 MiB under c6:100 (11 s), 2 vCPU x86-64
+MAX_PAIRS = 1_999_000
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_NO_PAIRS, _NO_PAIR = np.zeros((0, 2), dtype=np.intp), np.zeros((0, 4), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -96,48 +108,116 @@ def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np
 
 def _canonical(config) -> Config:
     out = tuple(sorted((int(i), str(lvl)) for i, lvl in config))
-    seen = set()
-    for i, lvl in out:
-        if lvl not in ("g2", "r"):
+    for k, (i, lvl) in enumerate(out):
+        if lvl not in LEVELS:
             raise ConfigError(f"unknown level {lvl!r} in configuration")
-        if i in seen:
+        if i < 0:
+            raise ConfigError(f"atom index {i} is negative")
+        if k and out[k - 1][0] == i:
             raise ConfigError(f"atom {i} appears twice in one configuration")
-        seen.add(i)
     return out
 
 
-@dataclass
+def _cmul(a, b) -> np.ndarray:
+    """a * b rounded as numpy's scalar complex product (no fused multiply-add)."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _square_sum(amps: np.ndarray) -> float:
+    """sum(abs(a) ** 2 for a in amps), rounded as Python rounds it."""
+    return float(sum(map(math.pow, np.hypot(amps.real, amps.imag).tolist(), repeat(2.0))))
+
+
+def _pruned(amps: np.ndarray) -> np.ndarray:
+    """Zero, in place, what is at or below PRUNE_TOL; adding 0.0 makes a
+    -0.0 part +0.0, as the dict's `get(c, 0.0) + a` did."""
+    amps += 0.0
+    amps[np.hypot(amps.real, amps.imag) <= PRUNE_TOL] = 0.0
+    return amps
+
+
+def _pick(values: np.ndarray, which: np.ndarray | None) -> np.ndarray:
+    """values[which]; None means one value per row, one value is broadcast."""
+    return values if which is None else values[:1] if len(values) == 1 else values[which]
+
+
+def _propagate(u: np.ndarray, which: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """Row k of x times the propagator u[which[k]]."""
+    return np.matmul(_pick(u, which), x[..., None])[..., 0]
+
+
 class CollectiveState:
-    """Sparse amplitude map over excitation configurations."""
+    """Amplitudes over excitation configurations, one array per sector,
+    built from a {configuration: amplitude} dict (`amplitudes` maps back),
+    dropping amplitudes at or below PRUNE_TOL. `order` lists the flat
+    indices of `single` in the order its sums run. Read-only."""
 
-    amplitudes: dict[Config, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, amplitudes: Mapping | None = None):
         clean: dict[Config, complex] = {}
-        for config, amp in self.amplitudes.items():
+        for config, amp in (amplitudes or {}).items():
             c = _canonical(config)
             if len(c) > 2:
-                raise MemoryCapacityError(
-                    f"configuration {c} exceeds the two-excitation cap"
-                )
+                raise MemoryCapacityError(f"configuration {c} exceeds the two-excitation cap")
             if abs(amp) > PRUNE_TOL:
                 clean[c] = clean.get(c, 0.0) + complex(amp)
-        self.amplitudes = clean
+        one = {c[0]: a for c, a in clean.items() if len(c) == 1}
+        two = {c: a for c, a in clean.items() if len(c) == 2}
+        rows = {j: k for k, j in enumerate(dict.fromkeys(j for j, _ in one))}
+        pairs = {ij: k for k, ij in enumerate(dict.fromkeys((i, j) for (i, _), (j, _) in two))}
+        order = np.array([2 * rows[j] + LEVELS.index(lvl) for j, lvl in one], dtype=np.intp)
+        single = np.zeros((len(rows), 2), dtype=complex)
+        single.flat[order] = list(one.values())
+        pair = np.zeros((len(pairs), 4), dtype=complex)
+        pair.flat[[4 * pairs[i, j] + LEVELS.index(li) + 2 * LEVELS.index(lj)
+                   for (i, li), (j, lj) in two]] = list(two.values())
+        self._set(clean.get((), 0j), np.array(list(rows), dtype=np.intp), single,
+                  np.array(list(pairs), dtype=np.intp).reshape(-1, 2), pair, order)
+
+    @classmethod
+    def _of(cls, *sectors, **kw) -> CollectiveState:
+        return cls.__new__(cls)._set(*sectors, **kw)
+
+    def _set(self, vacuum, atoms, single, pairs=_NO_PAIRS, pair=_NO_PAIR, order=None):
+        order = np.arange(single.size) if order is None else order
+        for a in (atoms, single, pairs, pair, order):
+            a.setflags(write=False)
+        self.vacuum, self.atoms, self.single = complex(vacuum), atoms, single
+        self.pairs, self.pair, self.order = pairs, pair, order
+        return self
+
+    def __repr__(self) -> str:
+        return f"CollectiveState({dict(self.amplitudes)!r})"
+
+    @cached_property
+    def amplitudes(self) -> Mapping[Config, complex]:
+        """Read-only {configuration: amplitude}, nonzero entries, sorted."""
+        q1, q2 = np.flatnonzero(self.single), np.flatnonzero(self.pair)
+        vac, none = np.full(1 if self.vacuum else 0, -1), np.full(len(q1), -1)
+        a1 = np.concatenate((vac, self.atoms[q1 // 2], self.pairs[q2 // 4, 0]))
+        l1 = np.concatenate((vac, q1 % 2, q2 % 2))
+        a2 = np.concatenate((vac, none, self.pairs[q2 // 4, 1]))
+        l2 = np.concatenate((vac, none, q2 // 2 % 2))
+        amp = np.concatenate((np.full(len(vac), self.vacuum), self.single.flat[q1],
+                              self.pair.flat[q2]))
+        rank = np.lexsort((l2, a2, l1, a1))
+        return MappingProxyType({
+            () if i < 0 else ((i, LEVELS[li]),) if j < 0 else ((i, LEVELS[li]), (j, LEVELS[lj])): a
+            for i, li, j, lj, a in zip(*(x[rank].tolist() for x in (a1, l1, a2, l2, amp)))
+        })
 
     def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
+        return _square_sum(np.concatenate(
+            ([self.vacuum], self.single.flat[self.order], self.pair.ravel())))
 
     def max_excitations(self) -> int:
-        return max((len(c) for c in self.amplitudes), default=0)
+        return 2 if self.pair.any() else 1 if self.single.any() else 0
 
     def rydberg_population(self) -> float:
-        return float(
-            sum(
-                abs(a) ** 2
-                for c, a in self.amplitudes.items()
-                if any(lvl == "r" for _, lvl in c)
-            )
-        )
+        r = self.order[self.order % 2 == 1]
+        return _square_sum(np.concatenate((self.single.flat[r], self.pair[:, 1:].ravel())))
 
     def has_rydberg(self) -> bool:
         return self.rydberg_population() > RYDBERG_PRESENCE_TOL
@@ -152,9 +232,8 @@ def _mode_amplitudes(ensemble: EnsembleConfig, wavevector=None) -> np.ndarray:
     return np.exp(1j * ph) / math.sqrt(ensemble.n_atoms)
 
 
-def write_photon(
-    ensemble: EnsembleConfig, existing: CollectiveState | None = None
-) -> CollectiveState:
+def write_photon(ensemble: EnsembleConfig,
+                 existing: CollectiveState | None = None) -> CollectiveState:
     """Store one photon as a collective g2 spin wave.
 
     Into vacuum this produces the uniform single-excitation state with
@@ -165,51 +244,34 @@ def write_photon(
     """
     n = ensemble.n_atoms
     mode = _mode_amplitudes(ensemble)
-    if existing is None:
-        existing = vacuum_state()
-    out: dict[Config, complex] = {}
-
-    vac_amp = existing.amplitudes.get((), 0.0)
-    if vac_amp:
-        for j in range(n):
-            out[((j, "g2"),)] = vac_amp * mode[j]
-
-    single_overlap = 0.0 + 0.0j
-    for config, amp in existing.amplitudes.items():
-        if len(config) == 0:
-            continue
-        if len(config) >= 2:
-            raise MemoryCapacityError("memory already holds two excitations")
-        (j, lvl), = config
-        if lvl != "g2":
-            raise ConfigError("cannot store a photon while the memory is Rydberg-excited")
-        single_overlap += np.conj(mode[j]) * amp
-    if abs(single_overlap) > 0.0:
-        if n < 2:
-            raise MemoryCapacityError("single-atom memory cannot hold a second photon")
-        pairs = math.comb(n, 2)
-        if pairs > MAX_PAIRS:
-            raise MemoryCapacityError(
-                f"a second photon in {n} atoms needs C({n},2) = {pairs} pair "
-                f"amplitudes, over the cap of {MAX_PAIRS}"
-            )
-        ph = ensemble.phases()
-        pair_norm = math.sqrt(pairs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = ((i, "g2"), (j, "g2"))
-                out[c] = out.get(c, 0.0) + single_overlap * np.exp(
-                    1j * (ph[i] - ph[j])
-                ) / pair_norm
-    return CollectiveState(out)
+    existing = vacuum_state() if existing is None else existing
+    if existing.pair.any():
+        raise MemoryCapacityError("memory already holds two excitations")
+    if existing.single[:, 1].any():
+        raise ConfigError("cannot store a photon while the memory is Rydberg-excited")
+    kept = n if existing.vacuum else 0  # the vacuum part becomes a single excitation
+    single = _pruned(np.stack([_cmul(existing.vacuum, mode[:kept]), np.zeros(kept)], 1))
+    g2 = existing.order  # its r entries are zero
+    overlap = np.cumsum(np.concatenate((
+        [0j], _cmul(np.conj(mode[existing.atoms[g2 // 2]]), existing.single.flat[g2]))))[-1]
+    if not abs(overlap) > 0.0:
+        return CollectiveState._of(0j, np.arange(kept), single)
+    if n < 2:
+        raise MemoryCapacityError("single-atom memory cannot hold a second photon")
+    count = math.comb(n, 2)
+    if count > MAX_PAIRS:
+        raise MemoryCapacityError(f"a second photon in {n} atoms needs C({n},2) = {count} pair "
+                                  f"amplitudes, over the cap of {MAX_PAIRS}")
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    ph = ensemble.phases()
+    pair = np.zeros((count, 4), dtype=complex)
+    wave = np.exp(1j * (ph[pairs[:, 0]] - ph[pairs[:, 1]]))
+    pair[:, 0] = _pruned(_cmul(overlap, wave) / math.sqrt(count))
+    return CollectiveState._of(0j, np.arange(kept), single, pairs, pair)
 
 
-def read_photon(
-    ensemble: EnsembleConfig,
-    state: CollectiveState,
-    eta: float,
-    wavevector: np.ndarray | None = None,
-) -> tuple[complex, CollectiveState]:
+def read_photon(ensemble: EnsembleConfig, state: CollectiveState, eta: float,
+                wavevector: np.ndarray | None = None) -> tuple[complex, CollectiveState]:
     """Retrieve one photon from the phase-matched mode.
 
     Returns (amplitude, remaining). For states with at most one
@@ -220,68 +282,49 @@ def read_photon(
     """
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"eta must be in [0,1], got {eta}")
-    if not any(
-        any(lvl == "g2" for _, lvl in c) for c in state.amplitudes
-    ):
+    if not (state.single[:, 0].any() or state.pair[:, :3].any()):
         raise EmptyMemoryError("no g2 excitation to read out")
-    mode = _mode_amplitudes(ensemble, wavevector)
+    m = np.conj(_mode_amplitudes(ensemble, wavevector))
+    vac = 2 * ensemble.n_atoms  # slot 2j + level holds what is left on atom j
 
-    annihilated: dict[Config, complex] = {}
-    for config, amp in state.amplitudes.items():
-        for idx, (j, lvl) in enumerate(config):
-            if lvl != "g2":
-                continue
-            rest = config[:idx] + config[idx + 1 :]
-            annihilated[rest] = annihilated.get(rest, 0.0) + np.conj(mode[j]) * amp
-
+    # annihilate every g2 in the dict's order: a single leaves the vacuum,
+    # gg loses atom i and then atom j, rg loses j, gr loses i
+    g2 = state.order[state.order % 2 == 0]
+    rest = np.zeros(vac + 1, dtype=complex)
+    np.add.at(rest, np.full(len(g2), vac), _cmul(m[state.atoms[g2 // 2]], state.single.flat[g2]))
     if state.max_excitations() <= 1:
-        return math.sqrt(eta) * annihilated.get((), 0.0), vacuum_state()
-
-    remaining = CollectiveState(annihilated)
-    norm = math.sqrt(remaining.norm_sq())
+        return math.sqrt(eta) * rest[vac], vacuum_state()
+    (i, j), x = state.pairs.T, state.pair
+    present = (x != 0)[:, [0, 0, 1, 2]]
+    slots = np.stack([2 * j, 2 * i, 2 * i + 1, 2 * j + 1], axis=1)[present]
+    np.add.at(rest, slots, np.stack([_cmul(m[i], x[:, 0]), _cmul(m[j], x[:, 0]),
+                                     _cmul(m[j], x[:, 1]), _cmul(m[i], x[:, 2])], 1)[present])
+    keys, first = np.unique(slots, return_index=True)  # rebuilt in first-seen order
+    keys = [vac] * min(len(g2), 1) + keys[np.argsort(first)].tolist()
+    left = CollectiveState({((k // 2, LEVELS[k % 2]),) if k < vac else (): rest[k] for k in keys})
+    norm = math.sqrt(left.norm_sq())
     if norm <= PRUNE_TOL:
         return 0.0 + 0.0j, vacuum_state()
-    remaining.amplitudes = {c: a / norm for c, a in remaining.amplitudes.items()}
-    return math.sqrt(eta) * norm, remaining
+    single = (left.single.view(float) / norm).view(complex)  # as Python's a / norm
+    return math.sqrt(eta) * norm, CollectiveState._of(
+        left.vacuum / norm, left.atoms, single, order=left.order)
 
 
-def _pairwise_distance(ensemble: EnsembleConfig, i: int, j: int) -> float:
-    return float(np.linalg.norm(ensemble.positions[i] - ensemble.positions[j]))
+def _farthest_external(ensemble: EnsembleConfig, external: EnsembleConfig | None) -> np.ndarray:
+    """Per atom, the distance to the farthest atom of the external ensemble,
+    whose excitation is delocalized, so the branch-worst case governs (for
+    HardSphere: blocked only if every external atom is within reach). It is
+    zero without external geometry: fully blocked. Squares sum as in norm."""
+    if external is None:
+        return np.zeros(ensemble.n_atoms)
+    d = [external.positions[:, k] - ensemble.positions[:, k, None] for k in range(3)]
+    return np.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).max(axis=1))
 
 
-def _external_shift(
-    blockade: BlockadeModel,
-    ensemble: EnsembleConfig,
-    atoms: tuple[int, ...],
-    external_ensemble: EnsembleConfig | None,
-) -> float:
-    """Blockade shift projected by an external Rydberg excitation.
-
-    The external excitation is delocalized over its ensemble, so the
-    branch-worst case governs: the shift of the farthest external atom
-    (for HardSphere this means blocked only if every external atom is
-    within reach). Without explicit external geometry the shift is taken
-    from the model at zero distance, i.e. fully blocked.
-    """
-    if external_ensemble is None:
-        return blockade.shift_over_rabi(0.0)
-    d_max = 0.0
-    for i in atoms:
-        d = np.linalg.norm(
-            external_ensemble.positions - ensemble.positions[i], axis=1
-        )
-        d_max = max(d_max, float(np.max(d)))
-    return blockade.shift_over_rabi(d_max)
-
-
-def apply_collective_pulse(
-    state: CollectiveState,
-    pulse: PulseSpec,
-    blockade: BlockadeModel,
-    ensemble: EnsembleConfig,
-    external_ensemble: EnsembleConfig | None = None,
-    external_rydberg_present: bool = False,
-) -> CollectiveState:
+def apply_collective_pulse(state: CollectiveState, pulse: PulseSpec, blockade: BlockadeModel,
+                           ensemble: EnsembleConfig,
+                           external_ensemble: EnsembleConfig | None = None,
+                           external_rydberg_present: bool = False) -> CollectiveState:
     """Drive g2 <-> r on every atom of the ensemble for one pulse.
 
     Single excitations evolve under the two-level propagator, detuned by
@@ -290,77 +333,44 @@ def apply_collective_pulse(
     the intra-pair shift on rr; the antisymmetric combination is
     decoupled from the drive and only accumulates its detuning phase.
     """
-    amps = dict(state.amplitudes)
-    out: dict[Config, complex] = {}
+    area, phase = pulse.area, pulse.phase
+    i, j = state.pairs.T
+    det1 = np.full(len(state.atoms), pulse.detuning_over_rabi)
+    det2 = np.full(len(i), pulse.detuning_over_rabi)
+    if external_rydberg_present and (len(i) or len(det1)):
+        far = _farthest_external(ensemble, external_ensemble)
+        det1 = det1 + blockade.shifts_over_rabi(far[state.atoms])
+        det2 = det2 + blockade.shifts_over_rabi(np.maximum(far[i], far[j]))
+    single, pair = state.single, state.pair
 
-    vac = amps.get((), 0.0)
-    if vac:
-        out[()] = vac
+    if len(single):  # 2x2 blocks per atom
+        dets, which = np.unique(det1, return_inverse=True)
+        u = [two_level_propagator(PulseSpec(area, d, phase)).entries for d in dets.tolist()]
+        single = _pruned(_propagate(np.array(u), which, single))
 
-    # single-excitation sector: 2x2 blocks per atom
-    singles: dict[int, np.ndarray] = {}
-    for config, amp in amps.items():
-        if len(config) != 1:
-            continue
-        (j, lvl), = config
-        vec = singles.setdefault(j, np.zeros(2, dtype=complex))
-        vec[0 if lvl == "g2" else 1] += amp
-    for j, vec in singles.items():
-        det = pulse.detuning_over_rabi
-        if external_rydberg_present:
-            det = det + _external_shift(blockade, ensemble, (j,), external_ensemble)
-        u = two_level_propagator(PulseSpec(pulse.area, det, pulse.phase)).entries
-        new = u @ vec
-        for lvl, a in zip(("g2", "r"), new):
-            if abs(a) > PRUNE_TOL:
-                c = ((j, lvl),)
-                out[c] = out.get(c, 0.0) + a
-
-    # pair sector: {gg, rg, gr, rr} per atom pair, sym/antisym split
-    pairs: dict[tuple[int, int], np.ndarray] = {}
-    for config, amp in amps.items():
-        if len(config) != 2:
-            continue
-        (i, li), (j, lj) = config
-        vec = pairs.setdefault((i, j), np.zeros(4, dtype=complex))
-        vec[{("g2", "g2"): 0, ("r", "g2"): 1, ("g2", "r"): 2, ("r", "r"): 3}[li, lj]] += amp
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for (i, j), vec in pairs.items():
-        det = pulse.detuning_over_rabi
-        if external_rydberg_present:
-            det = det + _external_shift(blockade, ensemble, (i, j), external_ensemble)
-        if not math.isfinite(det):
-            # every level of the block is shifted out of resonance
-            for idx, c in enumerate(
-                (((i, "g2"), (j, "g2")), ((i, "r"), (j, "g2")),
-                 ((i, "g2"), (j, "r")), ((i, "r"), (j, "r")))
-            ):
-                if abs(vec[idx]) > PRUNE_TOL:
-                    out[c] = out.get(c, 0.0) + vec[idx]
-            continue
-        shift = blockade.shift_over_rabi(_pairwise_distance(ensemble, i, j))
-        sym = (vec[1] + vec[2]) * inv_sqrt2
-        anti = (vec[1] - vec[2]) * inv_sqrt2
-        u3 = pair_propagator(pulse.area, shift, det, pulse.phase)
-        gg, sym, rr = u3 @ np.array([vec[0], sym, vec[3]])
-        anti = anti * np.exp(-1j * det * pulse.area)
-        new = {
-            ((i, "g2"), (j, "g2")): gg,
-            ((i, "r"), (j, "g2")): (sym + anti) * inv_sqrt2,
-            ((i, "g2"), (j, "r")): (sym - anti) * inv_sqrt2,
-            ((i, "r"), (j, "r")): rr,
-        }
-        for c, a in new.items():
-            if abs(a) > PRUNE_TOL:
-                out[c] = out.get(c, 0.0) + a
-
-    return CollectiveState(out)
+    if len(pair):  # {gg, sym, rr} ladder plus the dark antisymmetric state
+        live = np.isfinite(det2)  # an infinite detuning leaves a block alone
+        sel = slice(None) if live.all() else live
+        gap = ensemble.positions[i[sel]] - ensemble.positions[j[sel]]
+        key = np.empty(len(gap), dtype=complex)  # (shift, detuning) per pair
+        key.real = blockade.shifts_over_rabi(np.sqrt(np.vecdot(gap, gap)))  # as norm(gap)
+        key.imag = det2[sel]
+        keys, which = np.unique(key, return_inverse=True)
+        if len(keys) == len(key):  # no two pairs share a propagator: keep pair order
+            keys, which = key, None
+        x = state.pair[sel]
+        anti = _cmul((x[:, 1] - x[:, 2]) * INV_SQRT2, _pick(np.exp(-1j * keys.imag * area), which))
+        y = _propagate(pair_propagators(area, keys.real, keys.imag, phase), which,
+                       np.stack([x[:, 0], (x[:, 1] + x[:, 2]) * INV_SQRT2, x[:, 3]], 1))
+        new = _pruned(np.stack(
+            [y[:, 0], (y[:, 1] + anti) * INV_SQRT2, (y[:, 1] - anti) * INV_SQRT2, y[:, 2]], 1))
+        pair = new if isinstance(sel, slice) else pair.copy()  # idle blocks stay as they are
+        pair[sel] = new
+    return CollectiveState._of(state.vacuum, state.atoms, single, state.pairs, pair)
 
 
 def scheme1_cp_micro(
-    eta: float,
-    blockade: BlockadeModel,
-    control_ensemble: EnsembleConfig,
+    eta: float, blockade: BlockadeModel, control_ensemble: EnsembleConfig,
     target_ensemble: EnsembleConfig,
     pulse_area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> GateOpMatrix:
@@ -380,26 +390,15 @@ def scheme1_cp_micro(
     for c_bit, t_bit in ((0, 0), (0, 1), (1, 0), (1, 1)):
         ctrl = write_photon(control_ensemble) if c_bit else vacuum_state()
         tgt = write_photon(target_ensemble) if t_bit else vacuum_state()
-
-        ctrl = apply_collective_pulse(
-            ctrl, PulseSpec(math.pi * e1), blockade, control_ensemble,
-            target_ensemble, tgt.has_rydberg(),
-        )
-        tgt = apply_collective_pulse(
-            tgt, PulseSpec(2.0 * math.pi * e2), blockade, target_ensemble,
-            control_ensemble, ctrl.has_rydberg(),
-        )
-        ctrl = apply_collective_pulse(
-            ctrl, PulseSpec(math.pi * e3), blockade, control_ensemble,
-            target_ensemble, tgt.has_rydberg(),
-        )
-
+        ctrl = apply_collective_pulse(ctrl, PulseSpec(math.pi * e1), blockade, control_ensemble,
+                                      target_ensemble, tgt.has_rydberg())
+        tgt = apply_collective_pulse(tgt, PulseSpec(2.0 * math.pi * e2), blockade,
+                                     target_ensemble, control_ensemble, ctrl.has_rydberg())
+        ctrl = apply_collective_pulse(ctrl, PulseSpec(math.pi * e3), blockade, control_ensemble,
+                                      target_ensemble, tgt.has_rydberg())
         amp = 1.0 + 0.0j
-        if c_bit:
-            a, _ = read_photon(control_ensemble, ctrl, eta)
-            amp *= a
-        if t_bit:
-            a, _ = read_photon(target_ensemble, tgt, eta)
-            amp *= a
+        for bit, ens, mem in ((c_bit, control_ensemble, ctrl), (t_bit, target_ensemble, tgt)):
+            if bit:
+                amp *= read_photon(ens, mem, eta)[0]
         diag.append(amp)
     return GateOpMatrix(np.diag(diag))

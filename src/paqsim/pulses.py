@@ -31,6 +31,9 @@ from .qstate import GateOpMatrix
 # reaches this value (pulse leakage <= 1e-4)
 REACH_SHIFT_OVER_RABI = 100.0
 
+# shifts per stacked eigh in `pair_propagators`
+EIGH_BLOCK = 1 << 14
+
 
 def _distance(distance_um: float) -> float:
     """The one check on a blockade distance; NaN would silently mean no
@@ -67,6 +70,9 @@ class Perfect:
     def shift_over_rabi(self, distance_um: float) -> float:
         return math.inf
 
+    def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(distances_um), math.inf)
+
     def reach_um(self) -> float:
         return math.inf
 
@@ -83,6 +89,12 @@ class HardSphere:
 
     def shift_over_rabi(self, distance_um: float) -> float:
         return math.inf if _distance(distance_um) <= self.radius_um else 0.0
+
+    def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
+        d = np.asarray(distances_um, dtype=float)
+        if not ((d >= 0) & (d < math.inf)).all():  # `_distance`, over the array
+            raise ConfigError("blockade distances must be finite and >= 0")
+        return np.where(d <= self.radius_um, math.inf, 0.0)
 
     def reach_um(self) -> float:
         return self.radius_um
@@ -103,6 +115,12 @@ class PowerLaw:
         if _distance(distance_um) <= 0:
             return math.inf
         return (self.c6_mhz_um6 / distance_um**6) / self.reference_rabi_mhz
+
+    def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
+        # one scalar call each: r**6 through libm pow, whose bits numpy's
+        # vectorised power does not reproduce
+        return np.array([self.shift_over_rabi(d) for d in np.ravel(distances_um).tolist()],
+                        dtype=float).reshape(np.shape(distances_um))
 
     def reach_um(self) -> float:
         # distance where B/Omega falls to the operative threshold
@@ -145,31 +163,61 @@ def pair_propagator(
     (collective enhancement); rr carries the blockade shift on top of
     twice the laser detuning. An infinite shift reduces exactly to the
     two-level {g2g2, sym} system at effective area sqrt(2)*area, with
-    rr frozen.
+    rr frozen; an infinite detuning leaves every level alone (identity).
     """
     if not area >= 0:
         raise ConfigError(f"pulse area must be >= 0, got {area}")
     if math.isnan(pair_shift_over_rabi):
         raise ConfigError("pair blockade shift must not be NaN")
     _drive(detuning_over_rabi, phase)
-    if not math.isfinite(pair_shift_over_rabi):
+    if math.isinf(detuning_over_rabi):
+        return np.eye(3, dtype=complex)
+    if math.isinf(pair_shift_over_rabi):
         u2 = two_level_propagator(
             PulseSpec(math.sqrt(2) * area, detuning_over_rabi / math.sqrt(2), phase)
         ).entries
         out = np.eye(3, dtype=complex)
         out[:2, :2] = u2
         return out
+    return _ladder_propagator(area, pair_shift_over_rabi, detuning_over_rabi, phase)
+
+
+def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.ndarray:
+    """`pair_propagator` for every (shift, detuning), as an (S, 3, 3) stack.
+
+    `detunings` is one value or one per shift. The results have the bits
+    of separate calls: the finite ones come from stacked eigh calls, and
+    each infinite shift or detuning is one scalar call, so pass distinct
+    pairs.
+    """
+    if not area >= 0:
+        raise ConfigError(f"pulse area must be >= 0, got {area}")
+    shifts = np.asarray(shifts, dtype=float)
+    det = np.broadcast_to(np.asarray(detunings, dtype=float), shifts.shape)
+    if np.isnan(shifts).any():
+        raise ConfigError("pair blockade shift must not be NaN")
+    _drive(math.nan if np.isnan(det).any() else 0.0, phase)  # the scalar check, once
+    out = np.empty(shifts.shape + (3, 3), dtype=complex)
+    closed = np.isinf(shifts) | np.isinf(det)
+    for k in np.flatnonzero(closed):
+        out[k] = pair_propagator(area, float(shifts[k]), float(det[k]), phase)
+    free = np.flatnonzero(~closed)
+    for lo in range(0, len(free), EIGH_BLOCK):  # blocks bound the temporaries
+        k = free[lo : lo + EIGH_BLOCK]
+        out[k] = _ladder_propagator(area, shifts[k], det[k], phase)
+    return out
+
+
+def _ladder_propagator(area: float, shift, det, phase: float) -> np.ndarray:
+    """exp(-i H t) on the ladder for a finite shift, or a stack of them."""
     g = (math.sqrt(2) / 2.0) * area * np.exp(-1j * phase)
-    ht = np.array(
-        [
-            [0.0, g, 0.0],
-            [np.conj(g), detuning_over_rabi * area, g],
-            [0.0, np.conj(g), (2.0 * detuning_over_rabi + pair_shift_over_rabi) * area],
-        ],
-        dtype=complex,
-    )
+    ht = np.zeros(np.shape(shift) + (3, 3), dtype=complex)
+    ht[..., 0, 1] = ht[..., 1, 2] = g
+    ht[..., 1, 0] = ht[..., 2, 1] = np.conj(g)
+    ht[..., 1, 1] = det * area
+    ht[..., 2, 2] = (2.0 * det + shift) * area
     w, vecs = np.linalg.eigh(ht)
-    return (vecs * np.exp(-1j * w)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def scheme1_cp_matrix(

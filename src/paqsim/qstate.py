@@ -111,6 +111,8 @@ class GateOpMatrix:
 
 def init_basis(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>, e.g. init_basis(2, "10")."""
+    if n_qubits < 1:
+        raise ConfigError(f"need at least one qubit, got {n_qubits}")
     if len(bits) != n_qubits:
         raise ConfigError(f"bitstring {bits!r} length != {n_qubits} qubits")
     if any(b not in "01" for b in bits):

@@ -405,12 +405,12 @@ def test_micro_bad_protocols(capsys):
 
 
 def test_micro_second_photon_over_pair_cap(capsys):
-    code, out, err = cli(capsys, "micro", "write-write", "--atoms", "448")
+    code, out, err = cli(capsys, "micro", "write-write", "--atoms", "2001")
     assert code == 3
     assert out == ""
     assert err.splitlines() == [
-        "error: a second photon in 448 atoms needs C(448,2) = 100128 pair "
-        "amplitudes, over the cap of 100000"
+        "error: a second photon in 2001 atoms needs C(2001,2) = 2001000 pair "
+        "amplitudes, over the cap of 1999000"
     ]
 
 

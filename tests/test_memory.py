@@ -1,10 +1,14 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _dict_memory
+import paqsim.cli
 import paqsim.memory
 from paqsim import (
     CollectiveState,
@@ -14,6 +18,7 @@ from paqsim import (
     HardSphere,
     MemoryCapacityError,
     Perfect,
+    PowerLaw,
     PulseSpec,
     apply_collective_pulse,
     gaussian_cloud,
@@ -71,6 +76,8 @@ def test_collective_state_validation():
         CollectiveState({((0, "bad"),): 1.0})
     with pytest.raises(ConfigError):
         CollectiveState({((0, "g2"), (0, "r")): 1.0})
+    with pytest.raises(ConfigError, match="negative"):
+        CollectiveState({((-1, "g2"),): 1.0})
 
 
 def test_rydberg_population_bookkeeping():
@@ -139,10 +146,19 @@ def test_write_capacity_and_level_errors():
 
 
 def test_second_write_is_capped_before_the_pair_loop(monkeypatch):
-    ens = EnsembleConfig(np.zeros((448, 3)), K_DEFAULT)
+    ens = EnsembleConfig(np.zeros((2001, 3)), K_DEFAULT)
     one = write_photon(ens)
-    with pytest.raises(MemoryCapacityError, match=r"448 atoms .* C\(448,2\) = 100128 .* 100000"):
-        write_photon(ens, one)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            MemoryCapacityError, match=r"2001 atoms .* C\(2001,2\) = 2001000 .* 1999000"
+        ):
+            write_photon(ens, one)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nothing of the 2001000-pair size (32 MB of amplitudes) was allocated
+    assert peak < 1_000_000
     # the bound is inclusive: C(N,2) == cap is still written
     monkeypatch.setattr(paqsim.memory, "MAX_PAIRS", 3)
     small = make_ensemble(3, seed=1)
@@ -335,3 +351,181 @@ def test_micro_cp_matches_macro_for_random_clouds(n_ctrl, n_tgt, seed, sigma, k,
     tgt = make_ensemble(n_tgt, seed + 1, sigma, k=np.array(k), offset=(10.0, 0.0, 0.0))
     micro = scheme1_cp_micro(eta, Perfect(), ctrl, tgt)
     np.testing.assert_allclose(micro.entries, scheme1_cp_matrix(eta).entries, atol=1e-12)
+
+
+# ------------------------------------------------- dict-engine oracle
+#
+# `_dict_memory` is the per-configuration dict engine the array engine
+# replaced. Every protocol below runs on both, from the same vacuum.
+
+MODELS = st.one_of(
+    st.just(Perfect()),
+    st.floats(0.3, 4.0).map(HardSphere),
+    st.floats(1.0, 1e4).map(PowerLaw),
+)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write")),
+        st.tuples(st.just("read"), st.floats(0.0, 1.0), st.booleans()),
+        st.tuples(
+            st.just("pulse"),
+            st.floats(0.0, 4 * math.pi),
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+            st.one_of(st.just(0.0), st.floats(-7.0, 7.0)),
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _dense(amplitudes, n):
+    """Amplitudes as one vector: vacuum, 2N single slots, 4 per atom pair."""
+    out = np.zeros(1 + 2 * n + 4 * n * n, dtype=complex)
+    for config, amp in amplitudes.items():
+        slot = 0
+        for k, (atom, lvl) in enumerate(config):
+            slot += (1 if k == 0 else 2 * n) * (1 + 2 * atom + ("g2", "r").index(lvl))
+        out[slot] = amp
+    return out
+
+
+def _step(engine, state, op, ens, model):
+    """Apply one op; returns (read amplitude or None, new state)."""
+    if op[0] == "write":
+        return None, engine.write_photon(ens, state)
+    if op[0] == "read":
+        k = ens.wavevector + np.array([0.0, 1.3, 0.0]) if op[2] else None
+        return engine.read_photon(ens, state, op[1], k)
+    return None, engine.apply_collective_pulse(state, PulseSpec(*op[1:]), model, ens)
+
+
+def _outcome(engine, state, op, ens, model):
+    try:
+        return _step(engine, state, op, ens, model), None
+    except (ConfigError, EmptyMemoryError, MemoryCapacityError) as exc:
+        return None, type(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 20), st.integers(0, 2**16), st.floats(0.3, 3.0), MODELS, OPS)
+def test_array_engine_matches_the_dict_engine(n, seed, sigma, model, ops):
+    ens = make_ensemble(n, seed, sigma, k=np.array([8.0, 0.7, 0.0]))
+    state, oracle = vacuum_state(), _dict_memory.vacuum_state()
+    for op in ops:
+        before = CollectiveState(dict(oracle.amplitudes))  # the oracle's input, same bits
+        got, err = _outcome(paqsim.memory, state, op, ens, model)
+        want, want_err = _outcome(_dict_memory, oracle, op, ens, model)
+        assert err == want_err
+        if err:
+            continue
+        (amp, state), (want_amp, oracle) = got, want
+        if op[0] == "read":
+            assert abs(amp - want_amp) <= 1e-13
+        np.testing.assert_allclose(
+            _dense(state.amplitudes, n), _dense(oracle.amplitudes, n), rtol=0, atol=1e-13
+        )
+        assert abs(state.norm_sq() - oracle.norm_sq()) <= 1e-13
+        assert abs(state.rydberg_population() - oracle.rydberg_population()) <= 1e-13
+        assert state.max_excitations() == oracle.max_excitations()
+        if op[0] == "write" or (op[0] == "pulse" and not isinstance(model, PowerLaw)):
+            # from identical inputs these paths give identical bits
+            assert dict(_step(paqsim.memory, before, op, ens, model)[1].amplitudes) == dict(
+                oracle.amplitudes)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 2**16),
+    MODELS,
+    st.floats(0.0, 12.0),
+    st.tuples(*[st.floats(0.8, 1.2)] * 3),
+    st.floats(0.0, 1.0),
+)
+def test_scheme1_cp_micro_matches_the_dict_engine(n_ctrl, n_tgt, seed, model, gap, errors, eta):
+    ctrl = make_ensemble(n_ctrl, seed, 1.0)
+    tgt = make_ensemble(n_tgt, seed + 1, 1.0, offset=(gap, 0.0, 0.0))
+    got = scheme1_cp_micro(eta, model, ctrl, tgt, errors).entries
+    want = _dict_memory.scheme1_cp_micro(eta, model, ctrl, tgt, errors).entries
+    if isinstance(model, Perfect):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_external_blockade_on_pairs_matches_the_dict_engine():
+    ens = make_ensemble(7, seed=30, sigma=1.5)
+    far = make_ensemble(4, seed=31, sigma=1.0, offset=(4.0, 0.0, 0.0))
+    for model in (Perfect(), HardSphere(5.5), PowerLaw(300.0)):
+        for external in (far, None):
+            state, oracle = (e.write_photon(ens, e.write_photon(ens))
+                             for e in (paqsim.memory, _dict_memory))
+            pulse = PulseSpec(2.3, 0.4, 0.2)
+            state = apply_collective_pulse(state, pulse, model, ens, external, True)
+            oracle = _dict_memory.apply_collective_pulse(oracle, pulse, model, ens, external, True)
+            np.testing.assert_allclose(
+                _dense(state.amplitudes, 7), _dense(oracle.amplitudes, 7), rtol=0, atol=1e-13
+            )
+
+
+def test_micro_json_matches_the_dict_engine_byte_for_byte(capsys):
+    argv = ["write-write-0.5pi-read", "--atoms", "9", "--sigma-um", "1.7", "--seed", "3",
+            "--eta", "0.9", "--blockade", "c6:40"]
+    assert paqsim.cli.main(["micro", *argv]) == 0
+    out = capsys.readouterr().out
+    # the record as the CLI printed it from the dict engine
+    ens = EnsembleConfig(gaussian_cloud(9, 1.7, 3), np.array([8.0, 0.0, 0.0]))
+    state = _dict_memory.write_photon(ens, _dict_memory.write_photon(ens))
+    pulse = PulseSpec(0.5 * math.pi)
+    state = _dict_memory.apply_collective_pulse(state, pulse, PowerLaw(40.0), ens)
+    amp, state = _dict_memory.read_photon(ens, state, 0.9)
+    amps = {}
+    for config in sorted(state.amplitudes):
+        a = state.amplitudes[config]
+        key = "vac" if not config else ";".join(f"{lvl}@{i}" for i, lvl in config)
+        amps[key] = [float(a.real), float(a.imag)]
+    record = {
+        "n_atoms": 9,
+        "ops": ["write", "write", "0.5pi", "read"],
+        "reads": [[float(np.real(amp)), float(np.imag(amp))]],
+        "norm_sq": state.norm_sq(),
+        "rydberg_population": state.rydberg_population(),
+        "amplitudes": amps,
+    }
+    assert out == json.dumps(record) + "\n"
+
+
+def test_state_is_read_only_and_maps_back_in_sorted_order():
+    ens = make_ensemble(5, seed=32)
+    state = apply_collective_pulse(
+        write_photon(ens, write_photon(ens)), PulseSpec(1.1), Perfect(), ens
+    )
+    configs = list(state.amplitudes)
+    assert configs == sorted(configs)
+    with pytest.raises(TypeError):
+        state.amplitudes[()] = 1.0
+    for arr in (state.atoms, state.single, state.pairs, state.pair, state.order):
+        assert not arr.flags.writeable
+    mixed = CollectiveState({((2, "r"),): 0.6, (): 0.0, ((0, "g2"), (1, "r")): 0.8j})
+    assert list(mixed.amplitudes) == [((0, "g2"), (1, "r")), ((2, "r"),)]
+
+
+def test_two_photon_read_keeps_the_dict_order():
+    # what a read leaves is summed in the order the dict engine inserted it;
+    # in the first three clouds a row-major sum rounds norm_sq differently
+    cases = [(6, 4, PowerLaw(50.0)), (6, 11, HardSphere(1.0)), (8, 4, HardSphere(1.0)),
+             (8, 0, Perfect()), (9, 2, PowerLaw(50.0))]
+    for n, seed, model in cases:
+        ens = make_ensemble(n, seed=seed, sigma=1.2)
+        pulse = PulseSpec(1.7, 0.3)
+        state = apply_collective_pulse(write_photon(ens, write_photon(ens)), pulse, model, ens)
+        oracle = _dict_memory.write_photon(ens, _dict_memory.write_photon(ens))
+        oracle = _dict_memory.apply_collective_pulse(oracle, pulse, model, ens)
+        _, left = read_photon(ens, state, 0.8)
+        _, want = _dict_memory.read_photon(ens, oracle, 0.8)
+        seq = [((int(left.atoms[p // 2]), ("g2", "r")[p % 2]),) for p in left.order]
+        assert seq == list(want.amplitudes)
+        assert left.norm_sq() == sum(abs(left.amplitudes[c]) ** 2 for c in seq)
+        assert left.rydberg_population() == sum(
+            abs(left.amplitudes[c]) ** 2 for c in seq if c[0][1] == "r")

@@ -11,6 +11,7 @@ from paqsim import (
     PulseSpec,
     fit_pair_frequency,
     pair_propagator,
+    pair_propagators,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
     scheme2_leakage,
@@ -121,6 +122,12 @@ def test_blockade_model_validation():
         lambda: pair_propagator(math.pi, math.inf, 0.0, -math.inf),
         lambda: HardSphere(40.0).shift_over_rabi(-5.0),
         lambda: PowerLaw(1e6).shift_over_rabi(-1e-9),
+        lambda: pair_propagators(math.pi, [1.0, math.nan], 0.0),
+        lambda: pair_propagators(math.pi, [1.0, 2.0], [0.0, math.nan]),
+        lambda: pair_propagators(-1.0, [1.0], 0.0),
+        lambda: HardSphere(40.0).shifts_over_rabi(np.array([1.0, -5.0])),
+        lambda: HardSphere(40.0).shifts_over_rabi(np.array([math.inf])),
+        lambda: PowerLaw(1e6).shifts_over_rabi(np.array([2.0, math.nan])),
     ],
 )
 def test_range_checks_reject_nan_and_meaningless_inf(build):
@@ -137,9 +144,34 @@ def test_infinity_keeps_its_meaning():
         two_level_propagator(PulseSpec(math.pi, math.inf)).entries, np.eye(2)
     )
     np.testing.assert_array_equal(pair_propagator(math.pi, math.inf, math.inf), np.eye(3))
+    # with a finite pair shift too, in either sign, and through pair_propagators
+    for shift in (0.0, 5.0, 1e9):
+        for det in (math.inf, -math.inf):
+            np.testing.assert_array_equal(pair_propagator(1.0, shift, det, 0.3), np.eye(3))
+    stack = pair_propagators(1.0, [0.0, 5.0, math.inf, 5.0], [math.inf, -math.inf, math.inf, 0.2])
+    np.testing.assert_array_equal(stack[:3], np.broadcast_to(np.eye(3), (3, 3, 3)))
+    np.testing.assert_array_equal(stack[3], pair_propagator(1.0, 5.0, 0.2))
     np.testing.assert_allclose(
         scheme1_cp_matrix(1.0, math.inf).entries, np.diag([1, -1, -1, -1]), atol=1e-15
     )
+
+
+def test_shifts_over_rabi_match_the_scalar_calls():
+    d = np.array([0.0, 1e-3, 2.5, 39.999, 40.0, 40.001, 1e4])
+    for model in (Perfect(), HardSphere(40.0), PowerLaw(1e6), PowerLaw(3.7, 2.0)):
+        got = model.shifts_over_rabi(d)
+        assert got.tolist() == [model.shift_over_rabi(x) for x in d.tolist()]
+        assert model.shifts_over_rabi(d[:0]).shape == (0,)
+
+
+def test_pair_propagators_match_the_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(8)
+    shifts = np.concatenate([[math.inf, 0.0, math.inf], rng.uniform(0.0, 60.0, 40)])
+    dets = np.concatenate([[0.0, 0.0, -1.25], rng.uniform(-3.0, 3.0, 40)])
+    stack = pair_propagators(2.7, shifts, dets, 0.4)
+    for k in range(len(shifts)):
+        np.testing.assert_array_equal(stack[k], pair_propagator(2.7, shifts[k], dets[k], 0.4))
+    assert pair_propagators(1.0, [], 0.0).shape == (0, 3, 3)
 
 
 def test_pair_propagator_unitary_and_blocked_limit():

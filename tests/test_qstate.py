@@ -45,6 +45,10 @@ def test_init_basis_rejects_bad_bits():
         init_basis(2, "0")
     with pytest.raises(ConfigError):
         init_basis(3, "012")
+    # the empty bitstring matches zero qubits in length, and int("", 2) would raise
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match="at least one qubit"):
+            init_basis(n, "")
 
 
 def test_state_vector_validation():
