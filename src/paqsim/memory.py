@@ -17,8 +17,9 @@ oracle): complex products are formed from real parts (numpy's vector
 complex multiply can fuse multiply-adds, its scalar one does not); sums run
 left to right in the dict's insertion order (`np.cumsum`, `np.add.at`,
 `CollectiveState.order`); |a|^2 is hypot squared by libm pow, as in
-`abs(a) ** 2`; propagators come from a stacked `eigh` and act by a
-stacked `np.matmul(u, x[..., None])`.
+`abs(a) ** 2`; distances sum their squares in the order `np.linalg.norm`
+does; propagators come from a stacked `eigh` and act by a stacked
+`np.matmul(u, x[..., None])`.
 
 Writes are ideal; the store-retrieve efficiency eta enters once, as
 sqrt(eta) on the retrieval amplitude, and Rydberg pulses are exactly
@@ -41,7 +42,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMemoryError, MemoryCapacityError
+from .errors import (
+    ConfigError,
+    EmptyMemoryError,
+    MemoryCapacityError,
+)
 from .pulses import BlockadeModel, PulseSpec, pair_propagators, two_level_propagator
 from .qstate import GateOpMatrix
 
@@ -55,12 +60,17 @@ PRUNE_TOL = 1e-15
 RYDBERG_PRESENCE_TOL = 1e-9
 
 # largest C(N,2) a second write may build, so N <= 2000 atoms (80 B per
-# pair); `micro write-write-pi-read-read --atoms 2000` peaks at 668 MiB RSS
-# under perfect blockade (3.5 s) and 808 MiB under c6:100 (11 s), 2 vCPU x86-64
+# pair); `micro write-write-pi-read-read --atoms 2000` peaks at 653 MiB RSS
+# (2.2-3.0 s) under perfect blockade and 890 MiB (8-13 s) under c6:100, on a
+# 2 vCPU x86-64 host
 MAX_PAIRS = 1_999_000
 
+# (atom, external atom) distances per block in `_farthest_external`
+FAR_BLOCK = 1 << 16
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_NO_PAIRS, _NO_PAIR = np.zeros((0, 2), dtype=np.intp), np.zeros((0, 4), dtype=complex)
+_NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
+_NO_PAIR = np.zeros((0, 4), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,8 @@ def _cmul(a, b) -> np.ndarray:
 
 def _square_sum(amps: np.ndarray) -> float:
     """sum(abs(a) ** 2 for a in amps), rounded as Python rounds it."""
-    return float(sum(map(math.pow, np.hypot(amps.real, amps.imag).tolist(), repeat(2.0))))
+    mags = np.hypot(amps.real, amps.imag).tolist()
+    return float(sum(map(math.pow, mags, repeat(2.0))))
 
 
 def _pruned(amps: np.ndarray) -> np.ndarray:
@@ -139,9 +150,19 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, rounded as `np.linalg.norm(row)` is."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def _pick(values: np.ndarray, which: np.ndarray | None) -> np.ndarray:
-    """values[which]; None means one value per row, one value is broadcast."""
-    return values if which is None else values[:1] if len(values) == 1 else values[which]
+    """values[which], skipping the gather where it is not needed: None
+    means one value per row already, and a lone value is broadcast."""
+    if which is None:
+        return values
+    if len(values) == 1:
+        return values[:1]
+    return values[which]
 
 
 def _propagate(u: np.ndarray, which: np.ndarray | None, x: np.ndarray) -> np.ndarray:
@@ -160,21 +181,27 @@ class CollectiveState:
         for config, amp in (amplitudes or {}).items():
             c = _canonical(config)
             if len(c) > 2:
-                raise MemoryCapacityError(f"configuration {c} exceeds the two-excitation cap")
+                raise MemoryCapacityError(
+                    f"configuration {c} exceeds the two-excitation cap"
+                )
             if abs(amp) > PRUNE_TOL:
                 clean[c] = clean.get(c, 0.0) + complex(amp)
         one = {c[0]: a for c, a in clean.items() if len(c) == 1}
         two = {c: a for c, a in clean.items() if len(c) == 2}
         rows = {j: k for k, j in enumerate(dict.fromkeys(j for j, _ in one))}
-        pairs = {ij: k for k, ij in enumerate(dict.fromkeys((i, j) for (i, _), (j, _) in two))}
-        order = np.array([2 * rows[j] + LEVELS.index(lvl) for j, lvl in one], dtype=np.intp)
+        ij = dict.fromkeys((i, j) for (i, _), (j, _) in two)
+        pairs = {p: k for k, p in enumerate(ij)}
+        order = [2 * rows[j] + LEVELS.index(lvl) for j, lvl in one]
         single = np.zeros((len(rows), 2), dtype=complex)
         single.flat[order] = list(one.values())
+        slots = [4 * pairs[i, j] + LEVELS.index(li) + 2 * LEVELS.index(lj)
+                 for (i, li), (j, lj) in two]
         pair = np.zeros((len(pairs), 4), dtype=complex)
-        pair.flat[[4 * pairs[i, j] + LEVELS.index(li) + 2 * LEVELS.index(lj)
-                   for (i, li), (j, lj) in two]] = list(two.values())
-        self._set(clean.get((), 0j), np.array(list(rows), dtype=np.intp), single,
-                  np.array(list(pairs), dtype=np.intp).reshape(-1, 2), pair, order)
+        pair.flat[slots] = list(two.values())
+        atoms = np.array(list(rows), dtype=np.intp)
+        index = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+        order = np.array(order, dtype=np.intp)
+        self._set(clean.get((), 0j), atoms, single, index, pair, order)
 
     @classmethod
     def _of(cls, *sectors, **kw) -> CollectiveState:
@@ -195,29 +222,39 @@ class CollectiveState:
     def amplitudes(self) -> Mapping[Config, complex]:
         """Read-only {configuration: amplitude}, nonzero entries, sorted."""
         q1, q2 = np.flatnonzero(self.single), np.flatnonzero(self.pair)
-        vac, none = np.full(1 if self.vacuum else 0, -1), np.full(len(q1), -1)
+        vac = np.full(1 if self.vacuum else 0, -1)  # -1: no atom
+        none = np.full(len(q1), -1)
         a1 = np.concatenate((vac, self.atoms[q1 // 2], self.pairs[q2 // 4, 0]))
         l1 = np.concatenate((vac, q1 % 2, q2 % 2))
         a2 = np.concatenate((vac, none, self.pairs[q2 // 4, 1]))
         l2 = np.concatenate((vac, none, q2 // 2 % 2))
-        amp = np.concatenate((np.full(len(vac), self.vacuum), self.single.flat[q1],
-                              self.pair.flat[q2]))
+        amp = np.concatenate(
+            (np.full(len(vac), self.vacuum), self.single.flat[q1], self.pair.flat[q2])
+        )
         rank = np.lexsort((l2, a2, l1, a1))
-        return MappingProxyType({
-            () if i < 0 else ((i, LEVELS[li]),) if j < 0 else ((i, LEVELS[li]), (j, LEVELS[lj])): a
-            for i, li, j, lj, a in zip(*(x[rank].tolist() for x in (a1, l1, a2, l2, amp)))
-        })
+        out: dict[Config, complex] = {}
+        for i, li, j, lj, a in zip(*(x[rank].tolist() for x in (a1, l1, a2, l2, amp))):
+            if i < 0:
+                out[()] = a
+            elif j < 0:
+                out[((i, LEVELS[li]),)] = a
+            else:
+                out[((i, LEVELS[li]), (j, LEVELS[lj]))] = a
+        return MappingProxyType(out)
 
     def norm_sq(self) -> float:
-        return _square_sum(np.concatenate(
-            ([self.vacuum], self.single.flat[self.order], self.pair.ravel())))
+        flat = ([self.vacuum], self.single.flat[self.order], self.pair.ravel())
+        return _square_sum(np.concatenate(flat))
 
     def max_excitations(self) -> int:
-        return 2 if self.pair.any() else 1 if self.single.any() else 0
+        if self.pair.any():
+            return 2
+        return 1 if self.single.any() else 0
 
     def rydberg_population(self) -> float:
         r = self.order[self.order % 2 == 1]
-        return _square_sum(np.concatenate((self.single.flat[r], self.pair[:, 1:].ravel())))
+        flat = (self.single.flat[r], self.pair[:, 1:].ravel())
+        return _square_sum(np.concatenate(flat))
 
     def has_rydberg(self) -> bool:
         return self.rydberg_population() > RYDBERG_PRESENCE_TOL
@@ -232,8 +269,9 @@ def _mode_amplitudes(ensemble: EnsembleConfig, wavevector=None) -> np.ndarray:
     return np.exp(1j * ph) / math.sqrt(ensemble.n_atoms)
 
 
-def write_photon(ensemble: EnsembleConfig,
-                 existing: CollectiveState | None = None) -> CollectiveState:
+def write_photon(
+    ensemble: EnsembleConfig, existing: CollectiveState | None = None
+) -> CollectiveState:
     """Store one photon as a collective g2 spin wave.
 
     Into vacuum this produces the uniform single-excitation state with
@@ -244,34 +282,43 @@ def write_photon(ensemble: EnsembleConfig,
     """
     n = ensemble.n_atoms
     mode = _mode_amplitudes(ensemble)
-    existing = vacuum_state() if existing is None else existing
+    if existing is None:
+        existing = vacuum_state()
     if existing.pair.any():
         raise MemoryCapacityError("memory already holds two excitations")
     if existing.single[:, 1].any():
         raise ConfigError("cannot store a photon while the memory is Rydberg-excited")
-    kept = n if existing.vacuum else 0  # the vacuum part becomes a single excitation
-    single = _pruned(np.stack([_cmul(existing.vacuum, mode[:kept]), np.zeros(kept)], 1))
+
+    kept = n if existing.vacuum else 0  # vacuum becomes a single excitation
+    single = np.zeros((kept, 2), dtype=complex)
+    single[:, 0] = _pruned(_cmul(existing.vacuum, mode[:kept]))
     g2 = existing.order  # its r entries are zero
-    overlap = np.cumsum(np.concatenate((
-        [0j], _cmul(np.conj(mode[existing.atoms[g2 // 2]]), existing.single.flat[g2]))))[-1]
+    terms = _cmul(np.conj(mode[existing.atoms[g2 // 2]]), existing.single.flat[g2])
+    overlap = np.cumsum(np.concatenate(([0j], terms)))[-1]
     if not abs(overlap) > 0.0:
         return CollectiveState._of(0j, np.arange(kept), single)
     if n < 2:
         raise MemoryCapacityError("single-atom memory cannot hold a second photon")
     count = math.comb(n, 2)
     if count > MAX_PAIRS:
-        raise MemoryCapacityError(f"a second photon in {n} atoms needs C({n},2) = {count} pair "
-                                  f"amplitudes, over the cap of {MAX_PAIRS}")
+        raise MemoryCapacityError(
+            f"a second photon in {n} atoms needs C({n},2) = {count} pair "
+            f"amplitudes, over the cap of {MAX_PAIRS}"
+        )
     pairs = np.stack(np.triu_indices(n, 1), axis=1)
     ph = ensemble.phases()
-    pair = np.zeros((count, 4), dtype=complex)
     wave = np.exp(1j * (ph[pairs[:, 0]] - ph[pairs[:, 1]]))
+    pair = np.zeros((count, 4), dtype=complex)
     pair[:, 0] = _pruned(_cmul(overlap, wave) / math.sqrt(count))
     return CollectiveState._of(0j, np.arange(kept), single, pairs, pair)
 
 
-def read_photon(ensemble: EnsembleConfig, state: CollectiveState, eta: float,
-                wavevector: np.ndarray | None = None) -> tuple[complex, CollectiveState]:
+def read_photon(
+    ensemble: EnsembleConfig,
+    state: CollectiveState,
+    eta: float,
+    wavevector: np.ndarray | None = None,
+) -> tuple[complex, CollectiveState]:
     """Retrieve one photon from the phase-matched mode.
 
     Returns (amplitude, remaining). For states with at most one
@@ -291,40 +338,60 @@ def read_photon(ensemble: EnsembleConfig, state: CollectiveState, eta: float,
     # gg loses atom i and then atom j, rg loses j, gr loses i
     g2 = state.order[state.order % 2 == 0]
     rest = np.zeros(vac + 1, dtype=complex)
-    np.add.at(rest, np.full(len(g2), vac), _cmul(m[state.atoms[g2 // 2]], state.single.flat[g2]))
+    terms = _cmul(m[state.atoms[g2 // 2]], state.single.flat[g2])
+    np.add.at(rest, np.full(len(g2), vac), terms)
     if state.max_excitations() <= 1:
         return math.sqrt(eta) * rest[vac], vacuum_state()
     (i, j), x = state.pairs.T, state.pair
     present = (x != 0)[:, [0, 0, 1, 2]]
     slots = np.stack([2 * j, 2 * i, 2 * i + 1, 2 * j + 1], axis=1)[present]
-    np.add.at(rest, slots, np.stack([_cmul(m[i], x[:, 0]), _cmul(m[j], x[:, 0]),
-                                     _cmul(m[j], x[:, 1]), _cmul(m[i], x[:, 2])], 1)[present])
-    keys, first = np.unique(slots, return_index=True)  # rebuilt in first-seen order
+    terms = np.stack([_cmul(m[i], x[:, 0]), _cmul(m[j], x[:, 0]),
+                      _cmul(m[j], x[:, 1]), _cmul(m[i], x[:, 2])], axis=1)
+    np.add.at(rest, slots, terms[present])
+
+    # the remainder, keyed in first-seen order
+    keys, first = np.unique(slots, return_index=True)
     keys = [vac] * min(len(g2), 1) + keys[np.argsort(first)].tolist()
-    left = CollectiveState({((k // 2, LEVELS[k % 2]),) if k < vac else (): rest[k] for k in keys})
+    left = CollectiveState(
+        {((k // 2, LEVELS[k % 2]),) if k < vac else (): rest[k] for k in keys}
+    )
     norm = math.sqrt(left.norm_sq())
     if norm <= PRUNE_TOL:
         return 0.0 + 0.0j, vacuum_state()
     single = (left.single.view(float) / norm).view(complex)  # as Python's a / norm
-    return math.sqrt(eta) * norm, CollectiveState._of(
-        left.vacuum / norm, left.atoms, single, order=left.order)
+    remaining = CollectiveState._of(
+        left.vacuum / norm, left.atoms, single, order=left.order
+    )
+    return math.sqrt(eta) * norm, remaining
 
 
-def _farthest_external(ensemble: EnsembleConfig, external: EnsembleConfig | None) -> np.ndarray:
+def _farthest_external(
+    ensemble: EnsembleConfig, external: EnsembleConfig | None
+) -> np.ndarray:
     """Per atom, the distance to the farthest atom of the external ensemble,
     whose excitation is delocalized, so the branch-worst case governs (for
     HardSphere: blocked only if every external atom is within reach). It is
     zero without external geometry: fully blocked. Squares sum as in norm."""
     if external is None:
         return np.zeros(ensemble.n_atoms)
-    d = [external.positions[:, k] - ensemble.positions[:, k, None] for k in range(3)]
-    return np.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).max(axis=1))
+    far = np.empty(ensemble.n_atoms)
+    ext, own = external.positions.T[:, None, :], ensemble.positions.T[:, :, None]
+    rows = max(1, FAR_BLOCK // external.n_atoms)
+    for lo in range(0, len(far), rows):  # blocks bound the temporaries
+        d = ext - own[:, lo : lo + rows]  # (3, rows, external atoms)
+        d *= d
+        far[lo : lo + rows] = (d[0] + d[1] + d[2]).max(axis=1)
+    return np.sqrt(far)
 
 
-def apply_collective_pulse(state: CollectiveState, pulse: PulseSpec, blockade: BlockadeModel,
-                           ensemble: EnsembleConfig,
-                           external_ensemble: EnsembleConfig | None = None,
-                           external_rydberg_present: bool = False) -> CollectiveState:
+def apply_collective_pulse(
+    state: CollectiveState,
+    pulse: PulseSpec,
+    blockade: BlockadeModel,
+    ensemble: EnsembleConfig,
+    external_ensemble: EnsembleConfig | None = None,
+    external_rydberg_present: bool = False,
+) -> CollectiveState:
     """Drive g2 <-> r on every atom of the ensemble for one pulse.
 
     Single excitations evolve under the two-level propagator, detuned by
@@ -345,32 +412,40 @@ def apply_collective_pulse(state: CollectiveState, pulse: PulseSpec, blockade: B
 
     if len(single):  # 2x2 blocks per atom
         dets, which = np.unique(det1, return_inverse=True)
-        u = [two_level_propagator(PulseSpec(area, d, phase)).entries for d in dets.tolist()]
-        single = _pruned(_propagate(np.array(u), which, single))
+        u = np.array([two_level_propagator(PulseSpec(area, d, phase)).entries
+                      for d in dets.tolist()])
+        single = _pruned(_propagate(u, which, single))
 
     if len(pair):  # {gg, sym, rr} ladder plus the dark antisymmetric state
         live = np.isfinite(det2)  # an infinite detuning leaves a block alone
         sel = slice(None) if live.all() else live
-        gap = ensemble.positions[i[sel]] - ensemble.positions[j[sel]]
-        key = np.empty(len(gap), dtype=complex)  # (shift, detuning) per pair
-        key.real = blockade.shifts_over_rabi(np.sqrt(np.vecdot(gap, gap)))  # as norm(gap)
+        x = pair[sel]
+        pos = ensemble.positions
+        key = np.empty(len(x), dtype=complex)  # (shift, detuning) per block
+        key.real = blockade.shifts_over_rabi(_lengths(pos[i[sel]] - pos[j[sel]]))
         key.imag = det2[sel]
         keys, which = np.unique(key, return_inverse=True)
-        if len(keys) == len(key):  # no two pairs share a propagator: keep pair order
+        if len(keys) == len(key):  # no two blocks share a propagator: keep block order
             keys, which = key, None
-        x = state.pair[sel]
-        anti = _cmul((x[:, 1] - x[:, 2]) * INV_SQRT2, _pick(np.exp(-1j * keys.imag * area), which))
-        y = _propagate(pair_propagators(area, keys.real, keys.imag, phase), which,
-                       np.stack([x[:, 0], (x[:, 1] + x[:, 2]) * INV_SQRT2, x[:, 3]], 1))
-        new = _pruned(np.stack(
-            [y[:, 0], (y[:, 1] + anti) * INV_SQRT2, (y[:, 1] - anti) * INV_SQRT2, y[:, 2]], 1))
-        pair = new if isinstance(sel, slice) else pair.copy()  # idle blocks stay as they are
-        pair[sel] = new
+        u = pair_propagators(area, keys.real, keys.imag, phase)
+        spin = _pick(np.exp(-1j * keys.imag * area), which)
+        anti = _cmul((x[:, 1] - x[:, 2]) * INV_SQRT2, spin)
+        sym = (x[:, 1] + x[:, 2]) * INV_SQRT2
+        y = _propagate(u, which, np.stack([x[:, 0], sym, x[:, 3]], axis=1))
+        new = _pruned(np.stack([y[:, 0], (y[:, 1] + anti) * INV_SQRT2,
+                                (y[:, 1] - anti) * INV_SQRT2, y[:, 2]], axis=1))
+        if isinstance(sel, slice):
+            pair = new
+        else:  # idle blocks stay as they are
+            pair = pair.copy()
+            pair[sel] = new
     return CollectiveState._of(state.vacuum, state.atoms, single, state.pairs, pair)
 
 
 def scheme1_cp_micro(
-    eta: float, blockade: BlockadeModel, control_ensemble: EnsembleConfig,
+    eta: float,
+    blockade: BlockadeModel,
+    control_ensemble: EnsembleConfig,
     target_ensemble: EnsembleConfig,
     pulse_area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> GateOpMatrix:
@@ -390,15 +465,26 @@ def scheme1_cp_micro(
     for c_bit, t_bit in ((0, 0), (0, 1), (1, 0), (1, 1)):
         ctrl = write_photon(control_ensemble) if c_bit else vacuum_state()
         tgt = write_photon(target_ensemble) if t_bit else vacuum_state()
-        ctrl = apply_collective_pulse(ctrl, PulseSpec(math.pi * e1), blockade, control_ensemble,
-                                      target_ensemble, tgt.has_rydberg())
-        tgt = apply_collective_pulse(tgt, PulseSpec(2.0 * math.pi * e2), blockade,
-                                     target_ensemble, control_ensemble, ctrl.has_rydberg())
-        ctrl = apply_collective_pulse(ctrl, PulseSpec(math.pi * e3), blockade, control_ensemble,
-                                      target_ensemble, tgt.has_rydberg())
+
+        ctrl = apply_collective_pulse(
+            ctrl, PulseSpec(math.pi * e1), blockade, control_ensemble,
+            target_ensemble, tgt.has_rydberg(),
+        )
+        tgt = apply_collective_pulse(
+            tgt, PulseSpec(2.0 * math.pi * e2), blockade, target_ensemble,
+            control_ensemble, ctrl.has_rydberg(),
+        )
+        ctrl = apply_collective_pulse(
+            ctrl, PulseSpec(math.pi * e3), blockade, control_ensemble,
+            target_ensemble, tgt.has_rydberg(),
+        )
+
         amp = 1.0 + 0.0j
-        for bit, ens, mem in ((c_bit, control_ensemble, ctrl), (t_bit, target_ensemble, tgt)):
-            if bit:
-                amp *= read_photon(ens, mem, eta)[0]
+        if c_bit:
+            a, _ = read_photon(control_ensemble, ctrl, eta)
+            amp *= a
+        if t_bit:
+            a, _ = read_photon(target_ensemble, tgt, eta)
+            amp *= a
         diag.append(amp)
     return GateOpMatrix(np.diag(diag))

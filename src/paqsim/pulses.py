@@ -35,12 +35,14 @@ REACH_SHIFT_OVER_RABI = 100.0
 EIGH_BLOCK = 1 << 14
 
 
-def _distance(distance_um: float) -> float:
-    """The one check on a blockade distance; NaN would silently mean no
-    blockade and a negative one full blockade."""
-    if not 0 <= distance_um < math.inf:
-        raise ConfigError(f"blockade distance must be finite and >= 0, got {distance_um}")
-    return distance_um
+def _distance(distance_um):
+    """The one check on a blockade distance, or an array of them; NaN would
+    silently mean no blockade and a negative one full blockade."""
+    ok = (distance_um >= 0) & (distance_um < math.inf)
+    if ok is True or not isinstance(ok, bool) and ok.all():
+        return distance_um
+    bad = distance_um if ok is False else np.extract(~ok, distance_um)[0]
+    raise ConfigError(f"blockade distance must be finite and >= 0, got {bad}")
 
 
 def _drive(detuning_over_rabi: float, phase: float) -> None:
@@ -91,9 +93,7 @@ class HardSphere:
         return math.inf if _distance(distance_um) <= self.radius_um else 0.0
 
     def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
-        d = np.asarray(distances_um, dtype=float)
-        if not ((d >= 0) & (d < math.inf)).all():  # `_distance`, over the array
-            raise ConfigError("blockade distances must be finite and >= 0")
+        d = _distance(np.asarray(distances_um, dtype=float))
         return np.where(d <= self.radius_um, math.inf, 0.0)
 
     def reach_um(self) -> float:
@@ -119,8 +119,9 @@ class PowerLaw:
     def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
         # one scalar call each: r**6 through libm pow, whose bits numpy's
         # vectorised power does not reproduce
-        return np.array([self.shift_over_rabi(d) for d in np.ravel(distances_um).tolist()],
-                        dtype=float).reshape(np.shape(distances_um))
+        d = np.asarray(distances_um, dtype=float)
+        shifts = [self.shift_over_rabi(x) for x in d.ravel().tolist()]
+        return np.array(shifts, dtype=float).reshape(d.shape)
 
     def reach_um(self) -> float:
         # distance where B/Omega falls to the operative threshold

@@ -168,6 +168,24 @@ def test_second_write_is_capped_before_the_pair_loop(monkeypatch):
         write_photon(small, write_photon(small))
 
 
+def test_external_blockade_on_a_large_ensemble_has_bounded_temporaries():
+    # a full 2000 x 2000 table of atom distances would take 32 MB per array
+    ctrl = make_ensemble(2000, seed=3)
+    tgt = make_ensemble(2000, seed=4, offset=(3.0, 0.0, 0.0))
+    state = write_photon(ctrl)
+    tracemalloc.start()
+    try:
+        far = paqsim.memory._farthest_external(ctrl, tgt)
+        apply_collective_pulse(state, PulseSpec(math.pi), PowerLaw(1e6), ctrl, tgt, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    # the distances the dict engine took, atom by atom, to the bit
+    ref = [float(np.max(np.linalg.norm(tgt.positions - p, axis=1))) for p in ctrl.positions]
+    assert far.tolist() == ref
+
+
 def test_matched_read_returns_sqrt_eta():
     for seed, eta in ((3, 1.0), (4, 0.81), (5, 0.33)):
         ens = make_ensemble(7, seed=seed, sigma=3.0)

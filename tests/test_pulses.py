@@ -162,6 +162,16 @@ def test_shifts_over_rabi_match_the_scalar_calls():
         got = model.shifts_over_rabi(d)
         assert got.tolist() == [model.shift_over_rabi(x) for x in d.tolist()]
         assert model.shifts_over_rabi(d[:0]).shape == (0,)
+    # one distance check, one message, naming the first bad entry
+    message = r"^blockade distance must be finite and >= 0, got -5\.0$"
+    for model in (HardSphere(40.0), PowerLaw(1e6)):
+        with pytest.raises(ConfigError, match=message):
+            model.shifts_over_rabi(np.array([1.0, -5.0, math.nan]))
+        with pytest.raises(ConfigError, match=message):
+            model.shift_over_rabi(-5.0)
+        with pytest.raises(ConfigError, match="got nan$"):
+            model.shift_over_rabi(np.float64(math.nan))
+    assert HardSphere(40.0).shift_over_rabi(np.float64(40.0)) == math.inf
 
 
 def test_pair_propagators_match_the_scalar_calls_bit_for_bit():
