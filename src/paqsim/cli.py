@@ -10,11 +10,12 @@ Subcommands map one-to-one onto the engines:
     micro        atom-level memory protocol driver
 
 Everything is deterministic given the flags and seed; repeated runs emit
-byte-identical CSV/JSON on stdout. Anchor checks against known
-reference values are printed to stderr so stdout stays machine-parseable. PAQSIM_THREADS bounds worker
-threads for sweeps and Monte Carlo averaging (the results do not depend
-on it). Exit codes: 0 ok, 2 parse error, 3 config error, 4 numeric
-failure.
+byte-identical CSV/JSON on stdout. The Haar-average fidelity is the
+exact quadrature (metrics.haar_exact_gate_fidelity), so its stderr
+column is 0 and --samples/--seed are only echoed. Anchor checks against
+known reference values are printed to stderr so stdout stays
+machine-parseable. Exit codes: 0 ok, 2 parse error, 3 config error, 4
+numeric failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,9 +51,8 @@ from .memory import (
 from .metrics import (
     basis_avg_gate_fidelity,
     efficiency_basis_avg,
-    haar_avg_gate_fidelity,
+    haar_exact_gate_fidelity,
     process_fidelity_postselected,
-    worker_count,
 )
 from .pulses import (
     HardSphere,
@@ -141,25 +140,16 @@ def _cmd_cnot_sweep(args) -> int:
     if args.steps < 1:
         raise ConfigError(f"need at least one grid point, got {args.steps}")
     grid = np.linspace(args.eta_min, args.eta_max, args.steps)
-
-    def evaluate(eta: float):
+    results = []
+    lines = ["eta,fidelity_basis,fidelity_haar,haar_stderr,efficiency,samples,seed"]
+    for eta in grid:
         gate = lossy_cnot(eta)
         basis = basis_avg_gate_fidelity(gate, CNOT)
-        haar = haar_avg_gate_fidelity(gate, CNOT, args.samples, args.seed, n_threads=1)
+        haar = haar_exact_gate_fidelity(gate, CNOT)
         eff = efficiency_basis_avg(gate)
-        return basis, haar, eff
-
-    workers = worker_count(n_tasks=len(grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, grid))
-    else:
-        results = [evaluate(eta) for eta in grid]
-
-    lines = ["eta,fidelity_basis,fidelity_haar,haar_stderr,efficiency,samples,seed"]
-    for eta, (basis, haar, eff) in zip(grid, results):
+        results.append((basis, eff))
         lines.append(
-            f"{eta:.12g},{basis:.12g},{haar.value:.12g},{haar.stderr:.6g},"
+            f"{eta:.12g},{basis:.12g},{haar:.12g},0,"
             f"{eff:.12g},{args.samples},{args.seed}"
         )
     text = "\n".join(lines) + "\n"
@@ -169,7 +159,7 @@ def _cmd_cnot_sweep(args) -> int:
     else:
         sys.stdout.write(text)
 
-    for eta, (basis, haar, eff) in zip(grid, results):
+    for eta, (basis, eff) in zip(grid, results):
         if abs(eta - 0.33) < 1e-9:
             _anchor("eta=0.33 efficiency", eff, "0.44", abs(eff - 0.44) <= 5e-3)
             _anchor("eta=0.33 fidelity_basis", basis, ">0.9", basis > 0.9)
@@ -217,7 +207,7 @@ def _cmd_pulse(args) -> int:
     leakage = 1.0 - abs(ideal_ref.entries[3, 3]) ** 2
 
     basis = basis_avg_gate_fidelity(gate, CP)
-    haar = haar_avg_gate_fidelity(gate, CP, args.samples, args.seed)
+    haar = haar_exact_gate_fidelity(gate, CP)
     process = process_fidelity_postselected(gate, CP)
     record = {
         "scheme": args.scheme,
@@ -227,8 +217,8 @@ def _cmd_pulse(args) -> int:
         "matrix": _matrix_json(gate.entries),
         "leakage": leakage,
         "fidelity_basis": basis,
-        "fidelity_haar": haar.value,
-        "haar_stderr": haar.stderr,
+        "fidelity_haar": haar,
+        "haar_stderr": 0.0,
         "fidelity_process": process,
         "samples": args.samples,
         "seed": args.seed,

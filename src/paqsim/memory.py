@@ -264,6 +264,14 @@ def vacuum_state() -> CollectiveState:
     return CollectiveState({(): 1.0})
 
 
+def _check_atoms(state: CollectiveState, ensemble: EnsembleConfig) -> None:
+    """Every atom a state holds must exist in the ensemble it is driven in."""
+    n = ensemble.n_atoms
+    for index in (state.atoms, state.pairs):
+        if index.size and index.max() >= n:
+            raise ConfigError(f"state holds atom {index.max()}, beyond n_atoms = {n}")
+
+
 def _mode_amplitudes(ensemble: EnsembleConfig, wavevector=None) -> np.ndarray:
     ph = ensemble.phases(wavevector)
     return np.exp(1j * ph) / math.sqrt(ensemble.n_atoms)
@@ -284,6 +292,7 @@ def write_photon(
     mode = _mode_amplitudes(ensemble)
     if existing is None:
         existing = vacuum_state()
+    _check_atoms(existing, ensemble)
     if existing.pair.any():
         raise MemoryCapacityError("memory already holds two excitations")
     if existing.single[:, 1].any():
@@ -329,6 +338,7 @@ def read_photon(
     """
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _check_atoms(state, ensemble)
     if not (state.single[:, 0].any() or state.pair[:, :3].any()):
         raise EmptyMemoryError("no g2 excitation to read out")
     m = np.conj(_mode_amplitudes(ensemble, wavevector))
@@ -400,6 +410,7 @@ def apply_collective_pulse(
     the intra-pair shift on rr; the antisymmetric combination is
     decoupled from the drive and only accumulates its detuning phase.
     """
+    _check_atoms(state, ensemble)
     area, phase = pulse.area, pulse.phase
     i, j = state.pairs.T
     det1 = np.full(len(state.atoms), pulse.detuning_over_rabi)

@@ -14,6 +14,7 @@ import pytest
 import paqsim
 from paqsim import (
     CNOT,
+    CP,
     ConfigError,
     EmptyMemoryError,
     GatePlacementError,
@@ -25,9 +26,13 @@ from paqsim import (
     basis_avg_gate_fidelity,
     ghz_transfer_eval,
     GhzTopology,
+    PowerLaw,
+    haar_exact_gate_fidelity,
     lossy_cnot,
     parse_circuit,
     run_circuit,
+    scheme1_cp_matrix,
+    scheme2_cp_matrix,
 )
 from paqsim.cli import main
 
@@ -63,8 +68,8 @@ def test_cnot_sweep_csv(capsys):
     assert float(low[1]) == pytest.approx(
         basis_avg_gate_fidelity(lossy_cnot(0.33), CNOT)
     )
-    assert 0.85 < float(low[2]) < 0.95
-    assert float(low[3]) > 0.0
+    assert low[2] == "0.893125639776"  # the exact Haar average
+    assert low[3] == "0"
     assert float(low[4]) == pytest.approx(0.442225)
     assert low[5] == "2000" and low[6] == "0"
 
@@ -81,26 +86,10 @@ def test_cnot_sweep_csv(capsys):
     assert all(a.endswith("-> PASS") for a in anchors)
 
 
-def test_cnot_sweep_is_deterministic(capsys, monkeypatch):
-    monkeypatch.delenv("PAQSIM_THREADS", raising=False)
+def test_cnot_sweep_is_deterministic(capsys):
     first = cli(capsys, *SWEEP_ARGS)
     second = cli(capsys, *SWEEP_ARGS)
     assert first == second
-    monkeypatch.setenv("PAQSIM_THREADS", "4")
-    threaded = cli(capsys, *SWEEP_ARGS)
-    assert threaded == first
-
-
-def test_cnot_sweep_one_grid_point_starts_no_pool(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started for one grid point")
-
-    monkeypatch.setenv("PAQSIM_THREADS", "100000")
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(paqsim.cli, "ThreadPoolExecutor", no_pool)
-    code, out, _ = cli(capsys, "cnot-sweep", "--eta-min", "0.5", "--eta-max", "0.6",
-                       "--steps", "1", "--samples", "200")
-    assert code == 0 and len(out.splitlines()) == 2
 
 
 def test_cnot_sweep_to_file(tmp_path, capsys):
@@ -234,6 +223,68 @@ def test_pulse_dead_input_is_numeric_failure(capsys):
     code, _, err = cli(capsys, "pulse", "--scheme", "1", "--eta", "0", "--samples", "200")
     assert code == 4
     assert err.startswith("error:")
+
+
+# Output of three commands with the two Haar fields as placeholders. Every
+# other byte equals what the earlier Monte Carlo estimator's CLI printed.
+FROZEN_SWEEP = (
+    "eta,fidelity_basis,fidelity_haar,haar_stderr,efficiency,samples,seed\n"
+    "0.33,0.931922003499,<haar>,<stderr>,0.442225,2000,0\n"
+    "0.665,0.989774967877,<haar>,<stderr>,0.69305625,2000,0\n"
+    "1,1,<haar>,<stderr>,1,2000,0\n"
+)
+FROZEN_PULSES = {
+    ("--scheme", "2", "--eta", "0.9", "--blockade", "c6:5000", "--seed", "3"): (
+        '{"scheme": 2, "eta": 0.9, "area_pi": 10.0, "b_over_omega": 0.005, "matrix": '
+        '[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], '
+        '[-0.9486832980505138, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], '
+        '[-0.9486832980505138, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[0.8982658777260545, -0.05297330350272549]]], "leakage": 0.00038548398648030613, '
+        '"fidelity_basis": 1.0, "fidelity_haar": <haar>, "haar_stderr": <stderr>, '
+        '"fidelity_process": 0.2769775477297328, "samples": 2000, "seed": 3}\n'
+    ),
+    ("--scheme", "1", "--eta", "0.5", "--b-over-omega", "3",
+     "--area-errors", "1.05,0.97,1.0", "--seed", "1"): (
+        '{"scheme": 1, "eta": 0.5, "area_pi": 10.0, "b_over_omega": 3.0, "matrix": '
+        '[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], '
+        '[-0.7039686162622395, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], '
+        '[-0.7049270069651074, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], '
+        '[-0.4402426029890545, -0.23140821498919711]]], "leakage": 0.010546754195741137, '
+        '"fidelity_basis": 1.0, "fidelity_haar": <haar>, "haar_stderr": <stderr>, '
+        '"fidelity_process": 0.9120155472624146, "samples": 2000, "seed": 1}\n'
+    ),
+}
+
+
+def _fill(template: str, haars: list[str], stderr: str) -> str:
+    for haar in haars:
+        template = template.replace("<haar>", haar, 1).replace("<stderr>", stderr, 1)
+    return template
+
+
+def test_cnot_sweep_prints_the_exact_haar_average_and_nothing_else_new(capsys):
+    code, out, _ = cli(capsys, "cnot-sweep", "--eta-min", "0.33", "--eta-max", "1.0",
+                       "--steps", "3", "--samples", "2000", "--seed", "0")
+    assert code == 0
+    haars = [format(haar_exact_gate_fidelity(lossy_cnot(eta), CNOT), ".12g")
+             for eta in np.linspace(0.33, 1.0, 3)]
+    assert haars[0] == "0.893125639776" and haars[2] == "1"
+    assert out == _fill(FROZEN_SWEEP, haars, "0")
+
+
+@pytest.mark.parametrize("flags", list(FROZEN_PULSES))
+def test_pulse_prints_the_exact_haar_average_and_nothing_else_new(capsys, flags):
+    code, out, _ = cli(capsys, "pulse", "--samples", "2000", *flags)
+    assert code == 0
+    record = json.loads(out)
+    if flags[1] == "2":
+        b_over = PowerLaw(5000.0, 1.0).shift_over_rabi(10.0)
+        gate = scheme2_cp_matrix(0.9, 10.0 * math.pi, b_over)
+    else:
+        gate = scheme1_cp_matrix(0.5, 3.0, (1.05, 0.97, 1.0))
+    assert record["fidelity_haar"] == haar_exact_gate_fidelity(gate, CP)
+    assert record["haar_stderr"] == 0
+    assert out == _fill(FROZEN_PULSES[flags], [repr(record["fidelity_haar"])], "0.0")
 
 
 # ----------------------------------------------------------------------- run

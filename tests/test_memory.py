@@ -221,6 +221,39 @@ def test_read_errors():
         read_photon(ens, write_photon(ens), 1.5)
 
 
+# states holding an atom a 3-atom ensemble lacks (a single, a pair, an r
+# level), with the highest index the message must name
+FOREIGN = [
+    ({((5, "g2"),): 1.0}, 5),
+    ({((0, "g2"), (3, "g2")): 1.0}, 3),
+    ({((3, "r"),): 1.0}, 3),
+]
+
+
+@pytest.mark.parametrize("amplitudes, top", FOREIGN)
+def test_read_rejects_atoms_beyond_the_ensemble(amplitudes, top):
+    ens = EnsembleConfig(np.zeros((3, 3)), K_DEFAULT)
+    with pytest.raises(ConfigError, match=f"atom {top},.*n_atoms = 3"):
+        read_photon(ens, CollectiveState(amplitudes), 1.0)
+
+
+@pytest.mark.parametrize("amplitudes, top", FOREIGN)
+def test_write_rejects_atoms_beyond_the_ensemble(amplitudes, top):
+    ens = EnsembleConfig(np.zeros((3, 3)), K_DEFAULT)
+    with pytest.raises(ConfigError, match=f"atom {top},.*n_atoms = 3"):
+        write_photon(ens, CollectiveState(amplitudes))
+
+
+@pytest.mark.parametrize("amplitudes, top", FOREIGN)
+def test_pulse_rejects_atoms_beyond_the_ensemble(amplitudes, top):
+    ens = EnsembleConfig(np.zeros((3, 3)), K_DEFAULT)
+    state = CollectiveState(amplitudes)
+    with pytest.raises(ConfigError, match=f"atom {top},.*n_atoms = 3"):
+        apply_collective_pulse(state, PulseSpec(math.pi), Perfect(), ens)
+    last = CollectiveState({((2, "g2"),): 1.0})  # the highest index is fine
+    assert apply_collective_pulse(last, PulseSpec(math.pi), Perfect(), ens).single.any()
+
+
 def test_two_excitation_read_shows_bosonic_enhancement():
     # uniform mode: first retrieval amplitude is sqrt(2(N-1)/N) and the
     # remainder is exactly the single-photon spin wave

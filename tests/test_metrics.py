@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from paqsim import (
     efficiency_basis_avg,
     ghz_state,
     haar_avg_gate_fidelity,
+    haar_exact_gate_fidelity,
     haar_weighted_gate_fidelity,
     init_basis,
     lossy_cnot,
@@ -26,7 +26,6 @@ from paqsim import (
     state_fidelity_postselected,
 )
 import paqsim.metrics
-from paqsim.metrics import worker_count
 
 # converged Monte Carlo reference values (2e6 samples, three seeds agreeing)
 HAAR_CNOT_033 = 0.893095
@@ -114,18 +113,6 @@ def test_haar_is_deterministic_per_seed():
     assert c.value != a.value
 
 
-def test_haar_is_thread_invariant(monkeypatch):
-    monkeypatch.delenv("PAQSIM_THREADS", raising=False)
-    base = haar_avg_gate_fidelity(lossy_cnot(0.4), CNOT, samples=30000, seed=3)
-    monkeypatch.setenv("PAQSIM_THREADS", "8")
-    threaded = haar_avg_gate_fidelity(lossy_cnot(0.4), CNOT, samples=30000, seed=3)
-    assert base.value == threaded.value
-    explicit = haar_avg_gate_fidelity(
-        lossy_cnot(0.4), CNOT, samples=30000, seed=3, n_threads=4
-    )
-    assert base.value == explicit.value
-
-
 def test_haar_regression_cnot():
     report = haar_avg_gate_fidelity(lossy_cnot(0.33), CNOT, samples=100_000, seed=0)
     assert 0.88 < report.value < 0.94
@@ -204,6 +191,11 @@ def _haar_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _contraction(rng, d, top):
+    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return GateOpMatrix(top * raw / np.linalg.norm(raw, 2))  # largest singular value top
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     st.integers(0, 2**32 - 1),
@@ -213,8 +205,7 @@ def _haar_unitary(rng, d):
 def test_haar_weighted_is_process_fidelity_affine(seed, d, c):
     rng = np.random.default_rng(seed)
     u = GateOpMatrix(_haar_unitary(rng, d))
-    raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = GateOpMatrix(c * raw / np.linalg.norm(raw, 2))  # largest singular value c
+    m = _contraction(rng, d, c)
     value = haar_weighted_gate_fidelity(m, u)
     assert 0.0 <= value <= 1.0
     process = process_fidelity_postselected(m, u)
@@ -243,41 +234,97 @@ def test_report_values_in_unit_interval():
         assert -1e-9 <= report.value <= 1 + 1e-9
 
 
-def test_worker_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the count is capped by CPUs
-    monkeypatch.delenv("PAQSIM_THREADS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(6) == 6
-    assert worker_count(0) == 1
-    monkeypatch.setenv("PAQSIM_THREADS", "5")
-    assert worker_count() == 5
-    assert worker_count(2) == 2  # explicit argument wins
-    monkeypatch.setenv("PAQSIM_THREADS", "")
-    assert worker_count() == 1
-    monkeypatch.setenv("PAQSIM_THREADS", "many")
+# ------------------------------------------------------- exact Haar average
+
+
+_RNG = np.random.default_rng(8)
+# the five gates of the weighted-average cross-check, lossy and not unitary
+EXACT_CASES = {
+    "cnot eta=0.33": (lossy_cnot(0.33), CNOT),
+    "cnot eta=0.7": (lossy_cnot(0.7), CNOT),
+    "scheme1 cp B/Omega=3": (scheme1_cp_matrix(1.0, 3.0, (1.05, 0.97, 1.0)), CP),
+    "scheme2 cp 10pi B/Omega=5": (scheme2_cp_matrix(1.0, 10 * math.pi, 5.0), CP),
+    "random lossy 4x4": (_contraction(_RNG, 4, 0.8), GateOpMatrix(_haar_unitary(_RNG, 4))),
+}
+
+
+def test_haar_exact_matches_monte_carlo():
+    for name, (m, u) in EXACT_CASES.items():
+        report = haar_avg_gate_fidelity(m, u, samples=1_000_000, seed=11)
+        assert abs(haar_exact_gate_fidelity(m, u) - report.value) <= 4 * report.stderr, name
+
+
+def _split_gauss_legendre(m, u, nodes=64):
+    """The same integral by another rule: Gauss-Legendre on [0, c_1], on
+    log-spaced panels between the cuts c_k = 1/w_k (w_k the eigenvalues of
+    M^dag M), and on [c_max, inf) mapped by s = c_max / y, with Sigma_s by
+    dense inversion."""
+    a, b = m.entries, u.entries
+    d = a.shape[0]
+    t, gram = b.conj().T @ a, a.conj().T @ a
+
+    def f(s):
+        sigma = np.linalg.inv(np.eye(d) + s[:, None, None] * gram)
+        ts, st = t @ sigma, sigma @ t
+        lin = np.abs(np.trace(ts, axis1=1, axis2=2)) ** 2
+        quad = np.trace(ts @ st.conj().transpose(0, 2, 1), axis1=1, axis2=2).real
+        return np.linalg.det(sigma).real * (lin + quad)
+
+    x, wt = np.polynomial.legendre.leggauss(nodes)
+    y = 0.5 * (x + 1.0)
+    cuts = sorted({1.0 / w for w in np.linalg.eigvalsh(gram) if w > 0})
+    total = cuts[0] * 0.5 * (wt @ f(cuts[0] * y))
+    for lo, hi in zip(cuts, cuts[1:]):
+        span = math.log(hi / lo)
+        s = lo * np.exp(span * y)
+        total += span * 0.5 * (wt @ (f(s) * s))
+    total += 0.5 * (wt @ (f(cuts[-1] / y) * cuts[-1] / y**2))
+    return total / d
+
+
+def test_haar_exact_matches_split_gauss_legendre():
+    etas = sorted({1e-9, 1e-6, 1e-3, 0.33, 1.0, *np.geomspace(1e-9, 1.0, 19).tolist()})
+    for eta in etas:
+        gate = lossy_cnot(eta)
+        oracle = _split_gauss_legendre(gate, CNOT)
+        assert abs(haar_exact_gate_fidelity(gate, CNOT) - oracle) <= 1e-12, eta
+    for name, (m, u) in EXACT_CASES.items():
+        assert abs(haar_exact_gate_fidelity(m, u) - _split_gauss_legendre(m, u)) <= 1e-12, name
+
+
+def test_haar_exact_pins():
+    assert haar_exact_gate_fidelity(lossy_cnot(0.0), CNOT) == pytest.approx(0.25, abs=1e-15)
+    assert round(haar_exact_gate_fidelity(lossy_cnot(0.33), CNOT), 12) == 0.893125639776
+    rng = np.random.default_rng(3)
+    for d in (2, 4):  # rank one: every output is the same state, so F = 1/d
+        a, b = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+        outer = np.outer(a, b.conj())
+        rank_one = GateOpMatrix(0.5 * outer / np.linalg.norm(outer, 2))
+        value = haar_exact_gate_fidelity(rank_one, GateOpMatrix(_haar_unitary(rng, d)))
+        assert value == pytest.approx(1.0 / d, abs=1e-14)
+    for u in (CNOT, CP, GateOpMatrix(_haar_unitary(rng, 4)), GateOpMatrix(np.eye(2))):
+        for c in (1.0, 0.5j, 1e-3 * np.exp(0.3j)):
+            scaled = GateOpMatrix(c * u.entries)
+            assert haar_exact_gate_fidelity(scaled, u) == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 4]),
+    st.floats(1e-3, 1.0),
+)
+def test_haar_exact_lies_in_the_unit_interval(seed, d, c):
+    rng = np.random.default_rng(seed)
+    m, u = _contraction(rng, d, c), GateOpMatrix(_haar_unitary(rng, d))
+    value = haar_exact_gate_fidelity(m, u)
+    assert 0.0 <= value <= 1.0
+    half = GateOpMatrix(0.5 * m.entries)  # F does not depend on the scale of M
+    assert abs(haar_exact_gate_fidelity(half, u) - value) <= 1e-13
+
+
+def test_haar_exact_validation():
+    with pytest.raises(PostSelectionError):
+        haar_exact_gate_fidelity(GateOpMatrix(np.zeros((4, 4))), CNOT)
     with pytest.raises(ConfigError):
-        worker_count()
-
-
-def test_worker_count_is_bounded(monkeypatch):
-    monkeypatch.setenv("PAQSIM_THREADS", "100000")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert worker_count() == 2
-    assert worker_count(n_tasks=1) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert worker_count() == 64
-    assert worker_count(n_tasks=3) == 3
-    assert worker_count(100000, 13) == 13
-    assert worker_count(5, 13) == 5
-    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
-    assert worker_count() == 1
-
-
-def test_single_haar_chunk_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started for one chunk")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(paqsim.metrics, "ThreadPoolExecutor", no_pool)
-    report = haar_avg_gate_fidelity(lossy_cnot(0.5), CNOT, samples=1000, n_threads=100000)
-    assert report.samples == 1000
+        haar_exact_gate_fidelity(GateOpMatrix(np.eye(2)), CNOT)
