@@ -59,6 +59,7 @@ from .pulses import (
     Perfect,
     PowerLaw,
     PulseSpec,
+    _eta,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
 )
@@ -105,6 +106,14 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -154,8 +163,7 @@ def _cmd_cnot_sweep(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -195,7 +203,7 @@ def _cmd_pulse(args) -> int:
     if args.b_over_omega is not None:
         b_over = args.b_over_omega
     else:
-        b_over = blockade.shift_over_rabi(args.distance_um)
+        b_over = float(blockade.shift_over_rabi(args.distance_um))
     area = args.area_pi * math.pi
     errors = _parse_three(args.area_errors, "area errors")
     if args.scheme == 1:
@@ -240,8 +248,7 @@ def _cmd_pulse(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if not 0.0 <= args.eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {args.eta}")
+    _eta(args.eta)
     circuit = parse_circuit(_read_text(args.circuit))
     model = _cp_model_from_args(args)
     initial = None
@@ -276,6 +283,7 @@ def _cmd_timeline(args) -> int:
 
 
 def _cmd_micro(args) -> int:
+    _eta(args.eta)
     kvec = _parse_three(args.kvec, "wavevector components")
     positions = gaussian_cloud(args.atoms, args.sigma_um, args.seed)
     ensemble = EnsembleConfig(positions, kvec)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .optics import PLATES
-from .pulses import scheme1_cp_matrix, scheme2_cp_matrix
+from .pulses import _eta, scheme1_cp_matrix, scheme2_cp_matrix
 from .qstate import GateOpMatrix, StateVector, evolve, init_basis
 
 HADAMARD = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
@@ -119,8 +119,7 @@ class GhzTopology(Enum):
 
 def cp_ideal_with_loss(eta: float) -> GateOpMatrix:
     """diag(1,sqrt(eta),sqrt(eta),eta) applied to the ideal CP."""
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _eta(eta)
     s = math.sqrt(eta)
     return GateOpMatrix(np.diag([1.0, -s, -s, -eta]))
 
@@ -224,8 +223,7 @@ def ghz_transfer_eval(
     """
     if n < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _eta(eta)
     t00, t01, t10, t11 = _branch_transfers(eta)
     m = n - 1
     e = np.array([[t00, t01], [t10, t11]]) ** 2 / t00**2

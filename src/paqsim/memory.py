@@ -47,7 +47,7 @@ from .errors import (
     EmptyMemoryError,
     MemoryCapacityError,
 )
-from .pulses import BlockadeModel, PulseSpec, pair_propagators, two_level_propagator
+from .pulses import BlockadeModel, PulseSpec, _eta, pair_propagators, two_level_propagator
 from .qstate import GateOpMatrix
 
 Config = tuple[tuple[int, str], ...]
@@ -112,6 +112,8 @@ def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np
         raise ConfigError(f"need at least one atom, got {n_atoms}")
     if not 0 <= sigma_um < math.inf:
         raise ConfigError(f"cloud sigma must be finite and >= 0, got {sigma_um}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, sigma_um, size=(n_atoms, 3))
 
@@ -336,8 +338,7 @@ def read_photon(
     states the amplitude is sqrt(eta) times the norm of the
     mode-annihilated state and the remaining state carries the phase.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _eta(eta)
     _check_atoms(state, ensemble)
     if not (state.single[:, 0].any() or state.pair[:, :3].any()):
         raise EmptyMemoryError("no g2 excitation to read out")
@@ -417,8 +418,8 @@ def apply_collective_pulse(
     det2 = np.full(len(i), pulse.detuning_over_rabi)
     if external_rydberg_present and (len(i) or len(det1)):
         far = _farthest_external(ensemble, external_ensemble)
-        det1 = det1 + blockade.shifts_over_rabi(far[state.atoms])
-        det2 = det2 + blockade.shifts_over_rabi(np.maximum(far[i], far[j]))
+        det1 = det1 + blockade.shift_over_rabi(far[state.atoms])
+        det2 = det2 + blockade.shift_over_rabi(np.maximum(far[i], far[j]))
     single, pair = state.single, state.pair
 
     if len(single):  # 2x2 blocks per atom
@@ -433,7 +434,7 @@ def apply_collective_pulse(
         x = pair[sel]
         pos = ensemble.positions
         key = np.empty(len(x), dtype=complex)  # (shift, detuning) per block
-        key.real = blockade.shifts_over_rabi(_lengths(pos[i[sel]] - pos[j[sel]]))
+        key.real = blockade.shift_over_rabi(_lengths(pos[i[sel]] - pos[j[sel]]))
         key.imag = det2[sel]
         keys, which = np.unique(key, return_inverse=True)
         if len(keys) == len(key):  # no two blocks share a propagator: keep block order
@@ -469,8 +470,7 @@ def scheme1_cp_micro(
     back. The diagonal of retrieval amplitudes is the effective CP
     branch; ideal settings give diag(1,-1,-1,-1).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _eta(eta)
     e1, e2, e3 = pulse_area_errors
     diag = []
     for c_bit, t_bit in ((0, 0), (0, 1), (1, 0), (1, 1)):

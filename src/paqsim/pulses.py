@@ -35,22 +35,30 @@ REACH_SHIFT_OVER_RABI = 100.0
 EIGH_BLOCK = 1 << 14
 
 
-def _distance(distance_um):
+def _distance(distance_um) -> np.ndarray:
     """The one check on a blockade distance, or an array of them; NaN would
     silently mean no blockade and a negative one full blockade."""
-    ok = (distance_um >= 0) & (distance_um < math.inf)
-    if ok is True or not isinstance(ok, bool) and ok.all():
-        return distance_um
-    bad = distance_um if ok is False else np.extract(~ok, distance_um)[0]
-    raise ConfigError(f"blockade distance must be finite and >= 0, got {bad}")
+    d = np.asarray(distance_um, dtype=float)
+    ok = (d >= 0) & (d < math.inf)
+    if not ok.all():
+        bad = d[~ok][0]
+        raise ConfigError(f"blockade distance must be finite and >= 0, got {bad}")
+    return d
 
 
-def _drive(detuning_over_rabi: float, phase: float) -> None:
-    """The one check on a laser drive; an infinite detuning means no drive."""
-    if math.isnan(detuning_over_rabi):
+def _drive(detuning_over_rabi, phase: float) -> None:
+    """The one check on a laser drive, with one detuning or an array of them;
+    an infinite detuning means no drive."""
+    if np.isnan(detuning_over_rabi).any():
         raise ConfigError("pulse detuning must not be NaN")
     if not math.isfinite(phase):
         raise ConfigError(f"pulse phase must be finite, got {phase}")
+
+
+def _eta(eta: float) -> None:
+    """The one check on a memory efficiency."""
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"eta must be in [0,1], got {eta}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,8 @@ class PulseSpec:
 class Perfect:
     """Unconditional blockade: any pair of excitations is fully suppressed."""
 
-    def shift_over_rabi(self, distance_um: float) -> float:
-        return math.inf
-
-    def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(distances_um), math.inf)
+    def shift_over_rabi(self, distance_um):
+        return np.full(_distance(distance_um).shape, math.inf)[()]
 
     def reach_um(self) -> float:
         return math.inf
@@ -89,12 +94,8 @@ class HardSphere:
         if not self.radius_um > 0:
             raise ConfigError(f"blockade radius must be > 0, got {self.radius_um}")
 
-    def shift_over_rabi(self, distance_um: float) -> float:
-        return math.inf if _distance(distance_um) <= self.radius_um else 0.0
-
-    def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
-        d = _distance(np.asarray(distances_um, dtype=float))
-        return np.where(d <= self.radius_um, math.inf, 0.0)
+    def shift_over_rabi(self, distance_um):
+        return np.where(_distance(distance_um) <= self.radius_um, math.inf, 0.0)[()]
 
     def reach_um(self) -> float:
         return self.radius_um
@@ -111,23 +112,20 @@ class PowerLaw:
         if not (self.c6_mhz_um6 > 0 and self.reference_rabi_mhz > 0):
             raise ConfigError("C6 and reference Rabi must be > 0")
 
-    def shift_over_rabi(self, distance_um: float) -> float:
-        if _distance(distance_um) <= 0:
-            return math.inf
-        return (self.c6_mhz_um6 / distance_um**6) / self.reference_rabi_mhz
-
-    def shifts_over_rabi(self, distances_um: np.ndarray) -> np.ndarray:
-        # one scalar call each: r**6 through libm pow, whose bits numpy's
+    def shift_over_rabi(self, distance_um):
+        d = _distance(distance_um)
+        c6, rabi = self.c6_mhz_um6, self.reference_rabi_mhz
+        # r**6 on Python floats goes through libm pow, whose bits numpy's
         # vectorised power does not reproduce
-        d = np.asarray(distances_um, dtype=float)
-        shifts = [self.shift_over_rabi(x) for x in d.ravel().tolist()]
-        return np.array(shifts, dtype=float).reshape(d.shape)
+        shifts = [math.inf if r <= 0 else c6 / r**6 / rabi for r in d.ravel().tolist()]
+        return np.array(shifts, dtype=float).reshape(d.shape)[()]
 
     def reach_um(self) -> float:
         # distance where B/Omega falls to the operative threshold
         return (self.c6_mhz_um6 / (self.reference_rabi_mhz * REACH_SHIFT_OVER_RABI)) ** (1 / 6)
 
 
+# shift_over_rabi maps a distance, or an array of them, to B/Omega of that shape
 BlockadeModel = Perfect | HardSphere | PowerLaw
 
 
@@ -158,38 +156,22 @@ def pair_propagator(
     detuning_over_rabi: float = 0.0,
     phase: float = 0.0,
 ) -> np.ndarray:
-    """3x3 propagator on {g2g2, symmetric single-r, rr}.
+    """3x3 propagator on {g2g2, symmetric single-r, rr}; see `pair_propagators`."""
+    return pair_propagators(area, [pair_shift_over_rabi], detuning_over_rabi, phase)[0]
+
+
+def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.ndarray:
+    """3x3 propagators on {g2g2, symmetric single-r, rr}, one per
+    (shift, detuning), as an (S, 3, 3) stack.
 
     The symmetric ladder couples with matrix element sqrt(2)*Omega/2
     (collective enhancement); rr carries the blockade shift on top of
     twice the laser detuning. An infinite shift reduces exactly to the
     two-level {g2g2, sym} system at effective area sqrt(2)*area, with
     rr frozen; an infinite detuning leaves every level alone (identity).
-    """
-    if not area >= 0:
-        raise ConfigError(f"pulse area must be >= 0, got {area}")
-    if math.isnan(pair_shift_over_rabi):
-        raise ConfigError("pair blockade shift must not be NaN")
-    _drive(detuning_over_rabi, phase)
-    if math.isinf(detuning_over_rabi):
-        return np.eye(3, dtype=complex)
-    if math.isinf(pair_shift_over_rabi):
-        u2 = two_level_propagator(
-            PulseSpec(math.sqrt(2) * area, detuning_over_rabi / math.sqrt(2), phase)
-        ).entries
-        out = np.eye(3, dtype=complex)
-        out[:2, :2] = u2
-        return out
-    return _ladder_propagator(area, pair_shift_over_rabi, detuning_over_rabi, phase)
-
-
-def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.ndarray:
-    """`pair_propagator` for every (shift, detuning), as an (S, 3, 3) stack.
-
-    `detunings` is one value or one per shift. The results have the bits
-    of separate calls: the finite ones come from stacked eigh calls, and
-    each infinite shift or detuning is one scalar call, so pass distinct
-    pairs.
+    `detunings` is one value or one per shift. Finite pairs come from
+    stacked eigh calls, which give each the bits of a call on its own;
+    each infinite shift is one closed-form call, so pass distinct pairs.
     """
     if not area >= 0:
         raise ConfigError(f"pulse area must be >= 0, got {area}")
@@ -197,28 +179,26 @@ def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.n
     det = np.broadcast_to(np.asarray(detunings, dtype=float), shifts.shape)
     if np.isnan(shifts).any():
         raise ConfigError("pair blockade shift must not be NaN")
-    _drive(math.nan if np.isnan(det).any() else 0.0, phase)  # the scalar check, once
+    _drive(det, phase)
     out = np.empty(shifts.shape + (3, 3), dtype=complex)
-    closed = np.isinf(shifts) | np.isinf(det)
-    for k in np.flatnonzero(closed):
-        out[k] = pair_propagator(area, float(shifts[k]), float(det[k]), phase)
-    free = np.flatnonzero(~closed)
+    idle, blocked = np.isinf(det), np.isinf(shifts)
+    out[idle | blocked] = np.eye(3)
+    for k in np.flatnonzero(blocked & ~idle):
+        out[k, :2, :2] = two_level_propagator(
+            PulseSpec(math.sqrt(2) * area, float(det[k]) / math.sqrt(2), phase)
+        ).entries
+    free = np.flatnonzero(~(idle | blocked))
+    g = (math.sqrt(2) / 2.0) * area * np.exp(-1j * phase)
     for lo in range(0, len(free), EIGH_BLOCK):  # blocks bound the temporaries
         k = free[lo : lo + EIGH_BLOCK]
-        out[k] = _ladder_propagator(area, shifts[k], det[k], phase)
+        ht = np.zeros((len(k), 3, 3), dtype=complex)  # H t on the ladder
+        ht[:, 0, 1] = ht[:, 1, 2] = g
+        ht[:, 1, 0] = ht[:, 2, 1] = np.conj(g)
+        ht[:, 1, 1] = det[k] * area
+        ht[:, 2, 2] = (2.0 * det[k] + shifts[k]) * area
+        w, vecs = np.linalg.eigh(ht)
+        out[k] = (vecs * np.exp(-1j * w)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     return out
-
-
-def _ladder_propagator(area: float, shift, det, phase: float) -> np.ndarray:
-    """exp(-i H t) on the ladder for a finite shift, or a stack of them."""
-    g = (math.sqrt(2) / 2.0) * area * np.exp(-1j * phase)
-    ht = np.zeros(np.shape(shift) + (3, 3), dtype=complex)
-    ht[..., 0, 1] = ht[..., 1, 2] = g
-    ht[..., 1, 0] = ht[..., 2, 1] = np.conj(g)
-    ht[..., 1, 1] = det * area
-    ht[..., 2, 2] = (2.0 * det + shift) * area
-    w, vecs = np.linalg.eigh(ht)
-    return (vecs * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def scheme1_cp_matrix(
@@ -233,8 +213,7 @@ def scheme1_cp_matrix(
     pulses with perfect blockade give diag(1,-1,-1,-1), and B=0 gives the
     +eta gate failure (the target 2pi completes and cancels the sign).
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _eta(eta)
     if not blockade_shift_over_rabi >= 0:
         raise ConfigError(f"blockade shift must be >= 0, got {blockade_shift_over_rabi}")
     e1, e2, e3 = pulse_area_errors
@@ -270,8 +249,7 @@ def scheme2_cp_matrix(
     oscillates at sqrt(2)*Omega and returns with cos(sqrt(2)*theta/2)
     under perfect blockade, -0.97517 at the default theta = 10*pi.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0,1], got {eta}")
+    _eta(eta)
     if not area > 0:
         raise ConfigError(f"pulse area must be > 0, got {area}")
     if not b_over_rabi >= 0:

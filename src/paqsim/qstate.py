@@ -119,7 +119,7 @@ def init_basis(n_qubits: int, bits: str) -> StateVector:
         raise ConfigError(f"bitstring {bits!r} must contain only 0/1")
     amps = np.zeros(2**n_qubits, dtype=complex)
     amps[int(bits, 2)] = 1.0
-    return StateVector(n_qubits, amps)
+    return _frozen(n_qubits, amps)
 
 
 def _frozen(n_qubits: int, amps: np.ndarray) -> StateVector:

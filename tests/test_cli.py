@@ -103,6 +103,15 @@ def test_cnot_sweep_to_file(tmp_path, capsys):
     assert "anchor" in err  # anchors still go to stderr
 
 
+def test_cnot_sweep_unwritable_out_is_a_config_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "sweep.csv", tmp_path):  # no parent; a directory
+        code, out, err = cli(capsys, *SWEEP_ARGS, "--out", str(path))
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
+
 def test_cnot_sweep_bad_arguments(capsys):
     assert cli(capsys, "cnot-sweep", "--steps", "0")[0] == 3
     assert cli(capsys, "cnot-sweep", "--eta-min", "0.5", "--eta-max", "0.4")[0] == 3
@@ -455,6 +464,21 @@ def test_micro_bad_protocols(capsys):
     assert cli(capsys, "micro", "-")[0] == 3
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["write-pi", "--eta", "5"], "eta must be in [0,1], got 5.0"),
+        (["write-pi", "--eta", "nan"], "eta must be in [0,1], got nan"),
+        (["write-read", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["eta-5", "eta-nan", "seed-minus-1"],
+)
+def test_micro_checks_eta_and_seed_before_running(capsys, argv, message):
+    code, out, err = cli(capsys, "micro", *argv)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_micro_second_photon_over_pair_cap(capsys):
     code, out, err = cli(capsys, "micro", "write-write", "--atoms", "2001")
     assert code == 3
@@ -498,11 +522,14 @@ def test_non_finite_numbers_are_config_errors(capsys, argv):
 
 
 def test_negative_distance_is_a_config_error(capsys):
-    argv = ["pulse", "--scheme", "1", "--blockade", "hard:40", "--distance-um", "-5"]
-    code, out, err = cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == ["error: blockade distance must be finite and >= 0, got -5.0"]
+    for blockade in ("hard:40", "c6:1e6", "perfect"):
+        argv = ["pulse", "--scheme", "1", "--blockade", blockade, "--distance-um", "-5"]
+        code, out, err = cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: blockade distance must be finite and >= 0, got -5.0"
+        ]
 
 
 def test_infinite_shift_is_still_perfect_blockade(capsys):

@@ -67,6 +67,8 @@ def test_gaussian_cloud_is_seeded():
         gaussian_cloud(0, 1.0)
     with pytest.raises(ConfigError):
         gaussian_cloud(3, -1.0)
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        gaussian_cloud(3, 1.0, seed=-1)
 
 
 def test_collective_state_validation():

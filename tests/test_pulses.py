@@ -1,5 +1,6 @@
 import math
 
+import _dict_memory
 import numpy as np
 import pytest
 
@@ -125,9 +126,9 @@ def test_blockade_model_validation():
         lambda: pair_propagators(math.pi, [1.0, math.nan], 0.0),
         lambda: pair_propagators(math.pi, [1.0, 2.0], [0.0, math.nan]),
         lambda: pair_propagators(-1.0, [1.0], 0.0),
-        lambda: HardSphere(40.0).shifts_over_rabi(np.array([1.0, -5.0])),
-        lambda: HardSphere(40.0).shifts_over_rabi(np.array([math.inf])),
-        lambda: PowerLaw(1e6).shifts_over_rabi(np.array([2.0, math.nan])),
+        lambda: HardSphere(40.0).shift_over_rabi(np.array([1.0, -5.0])),
+        lambda: HardSphere(40.0).shift_over_rabi(np.array([math.inf])),
+        lambda: PowerLaw(1e6).shift_over_rabi(np.array([2.0, math.nan])),
     ],
 )
 def test_range_checks_reject_nan_and_meaningless_inf(build):
@@ -156,17 +157,27 @@ def test_infinity_keeps_its_meaning():
     )
 
 
-def test_shifts_over_rabi_match_the_scalar_calls():
+def test_shift_over_rabi_takes_arrays_and_matches_the_closed_forms():
     d = np.array([0.0, 1e-3, 2.5, 39.999, 40.0, 40.001, 1e4])
-    for model in (Perfect(), HardSphere(40.0), PowerLaw(1e6), PowerLaw(3.7, 2.0)):
-        got = model.shifts_over_rabi(d)
-        assert got.tolist() == [model.shift_over_rabi(x) for x in d.tolist()]
-        assert model.shifts_over_rabi(d[:0]).shape == (0,)
+    closed_forms = [
+        (Perfect(), lambda r: math.inf),
+        (HardSphere(40.0), lambda r: math.inf if r <= 40.0 else 0.0),
+        (PowerLaw(1e6), lambda r: math.inf if r == 0 else 1e6 / math.pow(r, 6) / 1.0),
+        (PowerLaw(3.7, 2.0), lambda r: math.inf if r == 0 else 3.7 / math.pow(r, 6) / 2.0),
+    ]
+    for model, shift in closed_forms:
+        got = model.shift_over_rabi(d)
+        assert got.tolist() == [shift(r) for r in d.tolist()]
+        assert model.shift_over_rabi(d.reshape(7, 1)).shape == (7, 1)
+        assert model.shift_over_rabi(d[:0]).shape == (0,)
+        for r in d.tolist():  # a scalar in, a scalar out
+            one = model.shift_over_rabi(r)
+            assert np.ndim(one) == 0 and isinstance(one, float) and one == shift(r)
     # one distance check, one message, naming the first bad entry
     message = r"^blockade distance must be finite and >= 0, got -5\.0$"
-    for model in (HardSphere(40.0), PowerLaw(1e6)):
+    for model in (Perfect(), HardSphere(40.0), PowerLaw(1e6)):
         with pytest.raises(ConfigError, match=message):
-            model.shifts_over_rabi(np.array([1.0, -5.0, math.nan]))
+            model.shift_over_rabi(np.array([1.0, -5.0, math.nan]))
         with pytest.raises(ConfigError, match=message):
             model.shift_over_rabi(-5.0)
         with pytest.raises(ConfigError, match="got nan$"):
@@ -175,12 +186,30 @@ def test_shifts_over_rabi_match_the_scalar_calls():
 
 
 def test_pair_propagators_match_the_scalar_calls_bit_for_bit():
+    # finite pairs against the one-pair-at-a-time ladder kept in the dict oracle
     rng = np.random.default_rng(8)
-    shifts = np.concatenate([[math.inf, 0.0, math.inf], rng.uniform(0.0, 60.0, 40)])
-    dets = np.concatenate([[0.0, 0.0, -1.25], rng.uniform(-3.0, 3.0, 40)])
+    shifts = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 40)])
+    dets = np.concatenate([[-1.25], rng.uniform(-3.0, 3.0, 40)])
     stack = pair_propagators(2.7, shifts, dets, 0.4)
     for k in range(len(shifts)):
-        np.testing.assert_array_equal(stack[k], pair_propagator(2.7, shifts[k], dets[k], 0.4))
+        np.testing.assert_array_equal(
+            stack[k], _dict_memory.pair_propagator(2.7, shifts[k], dets[k], 0.4)
+        )
+        np.testing.assert_array_equal(
+            pair_propagator(2.7, shifts[k], dets[k], 0.4), stack[k]
+        )
+    # an infinite shift embeds the two-level propagator at sqrt(2) times the
+    # area; an infinite detuning is no drive, whatever the shift
+    shifts = [math.inf, math.inf, math.inf, 5.0, 0.0]
+    dets = [0.0, -1.25, math.inf, -math.inf, math.inf]
+    stack = pair_propagators(2.7, shifts, dets, 0.4)
+    for k, (shift, det) in enumerate(zip(shifts, dets)):
+        expect = np.eye(3, dtype=complex)
+        if not math.isinf(det):
+            pulse = PulseSpec(SQRT2 * 2.7, det / SQRT2, 0.4)
+            expect[:2, :2] = two_level_propagator(pulse).entries
+        np.testing.assert_array_equal(stack[k], expect)
+        np.testing.assert_array_equal(pair_propagator(2.7, shift, det, 0.4), expect)
     assert pair_propagators(1.0, [], 0.0).shape == (0, 3, 3)
 
 

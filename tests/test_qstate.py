@@ -40,10 +40,22 @@ def test_init_basis_examples():
     assert init_basis(3, "000").norm_sq == 1.0
 
 
+def test_init_basis_is_a_read_only_basis_state():
+    for n, bits in ((1, "1"), (3, "101"), (6, "000000")):
+        amps = np.zeros(2**n)
+        amps[int(bits, 2)] = 1.0
+        state = init_basis(n, bits)
+        assert state.n_qubits == n
+        np.testing.assert_array_equal(state.amplitudes, StateVector(n, amps).amplitudes)
+        assert state.amplitudes.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 1.0
+
+
 def test_init_basis_rejects_bad_bits():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^bitstring '0' length != 2 qubits$"):
         init_basis(2, "0")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^bitstring '012' must contain only 0/1$"):
         init_basis(3, "012")
     # the empty bitstring matches zero qubits in length, and int("", 2) would raise
     for n in (0, -1):
