@@ -12,10 +12,10 @@ Subcommands map one-to-one onto the engines:
 Everything is deterministic given the flags and seed; repeated runs emit
 byte-identical CSV/JSON on stdout. The Haar-average fidelity is the
 exact quadrature (metrics.haar_exact_gate_fidelity), so its stderr
-column is 0 and --samples/--seed are only echoed. Anchor checks against
-known reference values are printed to stderr so stdout stays
-machine-parseable. Exit codes: 0 ok, 2 parse error, 3 config error, 4
-numeric failure.
+column is 0 and --samples/--seed are only echoed, once checked to be
+>= 1 and >= 0. Anchor checks against known reference values are printed
+to stderr so stdout stays machine-parseable. Exit codes: 0 ok, 2 parse
+error, 3 config error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -130,6 +130,14 @@ def _amplitudes_json(state) -> dict:
     }
 
 
+def _echo_flags(args) -> None:
+    """The one check on the echo-only --samples and --seed."""
+    if args.samples < 1:
+        raise ConfigError(f"need at least one sample, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+
+
 def _cp_model_from_args(args):
     name = args.cp_model
     if name == "ideal":
@@ -142,6 +150,7 @@ def _cp_model_from_args(args):
 
 
 def _cmd_cnot_sweep(args) -> int:
+    _echo_flags(args)
     if not (0.0 <= args.eta_min <= 1.0 and 0.0 <= args.eta_max <= 1.0):
         raise ConfigError("eta bounds must lie in [0,1]")
     if args.eta_min >= args.eta_max:
@@ -199,6 +208,7 @@ def _cmd_ghz(args) -> int:
 
 
 def _cmd_pulse(args) -> int:
+    _echo_flags(args)
     blockade = _parse_blockade(args.blockade, args.rabi_mhz)
     if args.b_over_omega is not None:
         b_over = args.b_over_omega

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .optics import PLATES
 from .pulses import _eta, scheme1_cp_matrix, scheme2_cp_matrix
-from .qstate import GateOpMatrix, StateVector, evolve, init_basis
+from .qstate import GateOpMatrix, StateVector, _trusted, evolve, init_basis
 
 HADAMARD = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 PHASE = GateOpMatrix(np.diag([1.0, -1.0j]))
@@ -38,6 +38,10 @@ CNOT = GateOpMatrix(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float
     )
 )
+
+# the target-side wave plates around the CP of a CNOT
+_CNOT_BEFORE = np.kron(np.eye(2), X90.entries @ PHASE.entries)
+_CNOT_AFTER = np.kron(np.eye(2), PHASE.entries @ X90.entries)
 
 CpModel = Callable[[float], GateOpMatrix]
 
@@ -147,10 +151,8 @@ def cnot_from_cp(cp_gate: GateOpMatrix) -> GateOpMatrix:
     """Sandwich a CP branch in the target-side wave-plate sequence."""
     if cp_gate.arity != 2:
         raise ConfigError("cnot sandwich needs a two-qubit CP matrix")
-    eye = np.eye(2)
-    before = np.kron(eye, X90.entries @ PHASE.entries)
-    after = np.kron(eye, PHASE.entries @ X90.entries)
-    return GateOpMatrix(after @ cp_gate.entries @ before)
+    # unitaries around a checked gate keep its singular values: no new check
+    return _trusted((_CNOT_AFTER @ cp_gate.entries @ _CNOT_BEFORE)[None])[0]
 
 
 def lossy_cnot(eta: float) -> GateOpMatrix:

@@ -8,6 +8,13 @@ theta (degrees from the H axis) has Jones matrix
 with R the usual 2x2 rotation. The +i sign in the fast-axis frame is
 what makes a QWP at theta=90 deg act as diag(1, -i) on (H, V), the
 phase gate the CNOT decomposition needs; textbook conventions differ.
+
+There is one plate path: `plate_gates` builds a list of plates in one
+array pass, as stacked 2x2 products, and `jones_matrix` (with `qwp` and
+`hwp`) is a stack of one. Each plate gets the bits of
+the 2x2 product on its own. A plate is unitary by construction, so its
+GateOpMatrix skips the singular-value check; a non-finite retardance or
+angle is a ConfigError.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .qstate import GateOpMatrix
+from .qstate import GateOpMatrix, _trusted
 
 QUARTER_WAVE = np.pi / 2
 HALF_WAVE = np.pi
@@ -29,24 +36,39 @@ class WavePlate:
     fast_axis_deg: float  # degrees from the H-polarization axis
 
 
-def jones_matrix(plate: WavePlate) -> GateOpMatrix:
-    th = np.deg2rad(plate.fast_axis_deg)
+def _jones_stack(retardance, fast_axis_deg) -> list[GateOpMatrix]:
+    """J(delta, theta) for each pair of equal-length sequences, built as
+    stacked 2x2 arrays; each plate gets the bits of a stack of one."""
+    delta = np.asarray(retardance, dtype=float)
+    th = np.deg2rad(np.asarray(fast_axis_deg, dtype=float))
+    if not (np.isfinite(delta).all() and np.isfinite(th).all()):
+        raise ConfigError("wave-plate retardance and angle must be finite")
     c, s = np.cos(th), np.sin(th)
-    rot = np.array([[c, -s], [s, c]])
-    ret = np.diag([1.0, np.exp(1j * plate.retardance)])
-    return GateOpMatrix(rot @ ret @ rot.T)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    ret = np.zeros(rot.shape, dtype=complex)
+    ret[:, 0, 0] = 1.0
+    ret[:, 1, 1] = np.exp(1j * delta)
+    # unitary by construction, so GateOpMatrix's checks are skipped
+    return _trusted(rot @ ret @ rot.swapaxes(1, 2))
 
 
-def qwp(fast_axis_deg: float) -> GateOpMatrix:
-    return jones_matrix(WavePlate(QUARTER_WAVE, fast_axis_deg))
-
-
-def hwp(fast_axis_deg: float) -> GateOpMatrix:
-    return jones_matrix(WavePlate(HALF_WAVE, fast_axis_deg))
+def jones_matrix(plate: WavePlate) -> GateOpMatrix:
+    return _jones_stack([plate.retardance], [plate.fast_axis_deg])[0]
 
 
 # the wave-plate vocabulary of .qc gates and .qtl pmu statements
-PLATES = {"qwp": qwp, "hwp": hwp}
+_RETARDANCE = {"qwp": QUARTER_WAVE, "hwp": HALF_WAVE}
+
+
+def plate_gates(plates) -> list[GateOpMatrix]:
+    """The gate of each (kind, fast-axis angle) plate, from one array pass;
+    each has the bits `PLATES[kind](angle)` gives."""
+    return _jones_stack([_RETARDANCE[k] for k, _ in plates], [a for _, a in plates])
+
+
+# fast-axis angle -> gate, one builder per plate kind
+PLATES = {kind: lambda a, kind=kind: plate_gates([(kind, a)])[0] for kind in _RETARDANCE}
+qwp, hwp = PLATES["qwp"], PLATES["hwp"]
 
 
 def distance_up_to_global_phase(a, b) -> float:

@@ -173,13 +173,7 @@ def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.n
     stacked eigh calls, which give each the bits of a call on its own;
     each infinite shift is one closed-form call, so pass distinct pairs.
     """
-    if not area >= 0:
-        raise ConfigError(f"pulse area must be >= 0, got {area}")
-    shifts = np.asarray(shifts, dtype=float)
-    det = np.broadcast_to(np.asarray(detunings, dtype=float), shifts.shape)
-    if np.isnan(shifts).any():
-        raise ConfigError("pair blockade shift must not be NaN")
-    _drive(det, phase)
+    shifts, det = _pair_drive(area, shifts, detunings, phase)
     out = np.empty(shifts.shape + (3, 3), dtype=complex)
     idle, blocked = np.isinf(det), np.isinf(shifts)
     out[idle | blocked] = np.eye(3)
@@ -188,17 +182,34 @@ def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.n
             PulseSpec(math.sqrt(2) * area, float(det[k]) / math.sqrt(2), phase)
         ).entries
     free = np.flatnonzero(~(idle | blocked))
-    g = (math.sqrt(2) / 2.0) * area * np.exp(-1j * phase)
     for lo in range(0, len(free), EIGH_BLOCK):  # blocks bound the temporaries
         k = free[lo : lo + EIGH_BLOCK]
-        ht = np.zeros((len(k), 3, 3), dtype=complex)  # H t on the ladder
-        ht[:, 0, 1] = ht[:, 1, 2] = g
-        ht[:, 1, 0] = ht[:, 2, 1] = np.conj(g)
-        ht[:, 1, 1] = det[k] * area
-        ht[:, 2, 2] = (2.0 * det[k] + shifts[k]) * area
-        w, vecs = np.linalg.eigh(ht)
+        w, vecs = np.linalg.eigh(_pair_ladders(area, shifts[k], det[k], phase))
         out[k] = (vecs * np.exp(-1j * w)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
     return out
+
+
+def _pair_drive(area: float, shifts, detunings, phase: float):
+    """Checked (shifts, detunings) arrays of one shape for the pair ladder."""
+    if not area >= 0:
+        raise ConfigError(f"pulse area must be >= 0, got {area}")
+    shifts = np.asarray(shifts, dtype=float)
+    det = np.broadcast_to(np.asarray(detunings, dtype=float), shifts.shape)
+    if np.isnan(shifts).any():
+        raise ConfigError("pair blockade shift must not be NaN")
+    _drive(det, phase)
+    return shifts, det
+
+
+def _pair_ladders(area: float, shifts, det, phase: float) -> np.ndarray:
+    """H t on {g2g2, sym, rr}, one (3, 3) per (shift, detuning)."""
+    g = (math.sqrt(2) / 2.0) * area * np.exp(-1j * phase)
+    ht = np.zeros((len(shifts), 3, 3), dtype=complex)
+    ht[:, 0, 1] = ht[:, 1, 2] = g
+    ht[:, 1, 0] = ht[:, 2, 1] = np.conj(g)
+    ht[:, 1, 1] = det * area
+    ht[:, 2, 2] = (2.0 * det + shifts) * area
+    return ht
 
 
 def scheme1_cp_matrix(
@@ -266,12 +277,16 @@ def fit_pair_frequency(b_over_rabi: float, n_samples: int = 3001) -> float:
     Locates the first minimum of the pair ground population over a
     window slightly longer than half a sqrt(2)-enhanced cycle and
     refines it parabolically; a perfectly blockaded pair fits sqrt(2).
+    H t is the area times the area-1 ladder of `pair_propagators`, so one
+    eigh of that ladder gives every sample; an infinite shift freezes rr.
     """
+    shifts, det = _pair_drive(1.0, [b_over_rabi], 0.0, 0.0)
+    ladder = _pair_ladders(1.0, shifts, det, 0.0)[0]
+    w, vecs = np.linalg.eigh(ladder[:2, :2] if math.isinf(b_over_rabi) else ladder)
     x_max = 1.5 * math.pi / math.sqrt(2)
     xs = np.linspace(0.0, x_max, n_samples)
-    pop = np.array(
-        [abs(pair_propagator(x, b_over_rabi)[0, 0]) ** 2 for x in xs]
-    )
+    # <g2g2| V e^{-i w x} V^dag |g2g2> for every sample x at once
+    pop = np.abs(np.exp(-1j * np.outer(xs, w)) @ np.abs(vecs[0]) ** 2) ** 2
     i = int(np.argmin(pop))
     if i == 0 or i == n_samples - 1:
         raise ConfigError("no interior population minimum in the fit window")

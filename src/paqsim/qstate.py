@@ -10,29 +10,39 @@ post-selected Kraus branch, and the squared norm of the state is the
 probability that no photon was lost (coincidence-detection success).
 
 `evolve` applies a whole op list on two private buffers and wraps the
-last one in a StateVector once. Each op writes from one buffer into the
-other along one of two paths:
+last one in a StateVector once. Between ops it keeps the qubits in an
+axis order of its own (`order[a]` is the qubit stored along axis a), and
+one transpose at the end restores the basis order. Each op makes at most
+one copy, along one of two paths:
 
 - strided: a 2x2 gate, or a 4x4 that never flips its control (every CP
   model and every CNOT here), is one np.matmul per control value on a
-  reshaped view, when at least STRIDED_MIN amplitudes follow the highest
-  target;
-- gathered: any other op does np.tensordot's own arithmetic: gather the
-  target axes to the front, one BLAS complex matrix multiply (zgemm),
-  scatter back.
+  reshaped view, with no copy. It runs when at least STRIDED_MIN
+  amplitudes follow the highest target's axis and the stacked matmuls
+  are few (at most STRIDED_STACKS) or long (STRIDED_BLOCK trailing
+  amplitudes): many short stacks cost one small BLAS call each.
+- gathered: any other op does np.tensordot's own arithmetic. Unless its
+  targets already lead the order, one copy of an (A,2,B) or (A,2,M,2,B)
+  view moves them to the front, where they stay; then one BLAS complex
+  matrix multiply (zgemm) of the gate with the (2^k, rest) matrix.
 
 Byte identity: both paths give the bits np.tensordot gives, so output
-does not depend on the path. On OpenBLAS these change the bits: in-place
-complex `*=` for diagonal gates, einsum, an F-ordered `out=`, and strided
-matmul over too few trailing amplitudes (2 do; 4 and 8 did not in 600
-random circuits; STRIDED_MIN = 16 keeps a margin).
+does not depend on the path. The tracked order adds one assumption: zgemm
+gives a column the same bits wherever it sits among the (2^k, rest)
+columns, so the order of the other axes does not matter either. Both are
+measured, not proven, and only on OpenBLAS (0.3.31): the tests check
+them bit for bit over random op sequences up to 14 qubits. On OpenBLAS
+these change the bits: in-place complex `*=` for diagonal gates, einsum,
+an F-ordered `out=`, and strided matmul over too few trailing amplitudes
+(2 do; 4 and 8 did not in 600 random circuits; STRIDED_MIN = 16 keeps a
+margin).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -42,6 +52,10 @@ from .errors import ConfigError
 ATOL = 1e-12
 NORM_CAP = 1.0 + 1e-9  # loss never amplifies
 STRIDED_MIN = 16  # trailing amplitudes a strided matmul needs to keep the bits
+STRIDED_STACKS = 64  # up to this many stacked matmuls, strided beats a gather
+# trailing amplitudes from which strided wins at any stack count; it only
+# matters from 2^15 amplitudes on, where a gather's copy leaves the L2 cache
+STRIDED_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +84,6 @@ class GateOpMatrix:
     """A 2x2 or 4x4 complex operator, possibly a non-unitary loss branch."""
 
     entries: np.ndarray
-    unitary_flag: bool = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=complex)
@@ -78,12 +91,12 @@ class GateOpMatrix:
             raise ConfigError(f"gate must be 2x2 or 4x4, got {m.shape}")
         if not np.isfinite(m).all():
             raise ConfigError("gate entries must be finite")
-        gram = m.conj().T @ m
         # physical post-selected branch: largest singular value <= 1
         if m.shape == (2, 2):
             # largest eigenvalue of the Gram matrix [[p, q], [q*, r]] in closed
             # form; ((p-r)/2)^2 + |q|^2 equals (f^2 - 4|det M|^2)/4 with
             # f = p + r, but sums squares where that form cancels
+            gram = m.conj().T @ m
             p, r, q = gram[0, 0].real, gram[1, 1].real, gram[0, 1]
             smax = math.sqrt((p + r) / 2.0 + math.hypot((p - r) / 2.0, abs(q)))
         else:
@@ -92,8 +105,11 @@ class GateOpMatrix:
             raise ConfigError(f"largest singular value {smax:.3e} exceeds 1")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        dev = np.abs(gram - np.eye(m.shape[0])).max()
-        object.__setattr__(self, "unitary_flag", bool(dev <= ATOL))
+
+    @cached_property
+    def unitary_flag(self) -> bool:
+        m = self.entries
+        return bool(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= ATOL)
 
     @property
     def arity(self) -> int:
@@ -122,6 +138,19 @@ def init_basis(n_qubits: int, bits: str) -> StateVector:
     return _frozen(n_qubits, amps)
 
 
+def _trusted(stack: np.ndarray) -> list[GateOpMatrix]:
+    """Wrap each matrix of a complex (S, d, d) stack, d = 2 or 4, without the
+    checks: for products of checked gates and unitaries, which are finite
+    with singular values <= 1."""
+    stack.flags.writeable = False
+    gates = []
+    for m in stack:
+        gate = object.__new__(GateOpMatrix)
+        object.__setattr__(gate, "entries", m)
+        gates.append(gate)
+    return gates
+
+
 def _frozen(n_qubits: int, amps: np.ndarray) -> StateVector:
     """Wrap a private buffer in a StateVector without copying it."""
     amps.flags.writeable = False
@@ -144,33 +173,17 @@ def _targets(gate: GateOpMatrix, targets, n: int) -> tuple[int, ...]:
     return targets
 
 
-def _step(src: np.ndarray, dst: np.ndarray, n: int, gate: GateOpMatrix,
-          targets: tuple[int, ...]) -> None:
-    """Write the gate applied to src into dst; src may be overwritten."""
-    m = gate.entries
-    below = 1 << (n - 1 - max(targets))
-    if below >= STRIDED_MIN:
-        if len(targets) == 1:
-            shape = (-1, 2, below)
-            np.matmul(m, src.reshape(shape), out=dst.reshape(shape))
-            return
-        blocks = gate.control_blocks
-        if blocks is not None:
-            c, t = targets
-            lo, hi = sorted(targets)
-            shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, below)
-            a, b = src.reshape(shape), dst.reshape(shape)
-            if c > t:  # control axis first, target axis next to the trailing one
-                a, b = a.swapaxes(1, 3), b.swapaxes(1, 3)
-            for v, block in enumerate(blocks):
-                np.matmul(block, a[:, v], out=b[:, v])
-            return
-    k = len(targets)
-    shape = (2,) * n
-    order = targets + tuple(q for q in range(n) if q not in targets)
-    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(order))
-    np.dot(m, dst.reshape(1 << k, -1), out=src.reshape(1 << k, -1))
-    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(np.argsort(order)))
+def _gather(src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:
+    """Copy src into dst with the physical axes `axes` moved, in that order,
+    to the front; the other axes keep their order."""
+    if len(axes) == 1:
+        a = 1 << axes[0]
+        np.copyto(dst.reshape(2, a, -1), src.reshape(a, 2, -1).transpose(1, 0, 2))
+        return
+    lo, hi = sorted(axes)
+    shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    front = (1, 3) if axes[0] < axes[1] else (3, 1)
+    np.copyto(dst.reshape((2, 2) + shape[::2]), src.reshape(shape).transpose(front + (0, 2, 4)))
 
 
 def evolve(
@@ -185,9 +198,44 @@ def evolve(
     n = state.n_qubits
     cur = state.amplitudes.copy()
     spare = np.empty_like(cur)
+    basis = list(range(n))
+    order = basis  # order[a] is the qubit stored along axis a
     for gate, targets in ops:
-        _step(cur, spare, n, gate, _targets(gate, targets, n))
+        targets = _targets(gate, targets, n)
+        axes = [order.index(q) for q in targets]
+        m = gate.entries
+        below = 1 << (n - 1 - max(axes))
+        stacks = cur.size // (2 * below)
+        if below >= STRIDED_MIN and (stacks <= STRIDED_STACKS or below >= STRIDED_BLOCK):
+            if len(axes) == 1:
+                shape = (-1, 2, below)
+                np.matmul(m, cur.reshape(shape), out=spare.reshape(shape))
+                cur, spare = spare, cur
+                continue
+            blocks = gate.control_blocks
+            if blocks is not None:
+                c, t = axes
+                lo, hi = sorted(axes)
+                shape = (1 << lo, 2, 1 << (hi - lo - 1), 2, below)
+                a, b = cur.reshape(shape), spare.reshape(shape)
+                if c > t:  # control axis first, target axis next to the trailing one
+                    a, b = a.swapaxes(1, 3), b.swapaxes(1, 3)
+                for v, block in enumerate(blocks):
+                    np.matmul(block, a[:, v], out=b[:, v])
+                cur, spare = spare, cur
+                continue
+        k = len(axes)
+        if axes != basis[:k]:
+            _gather(cur, spare, axes)
+            cur, spare = spare, cur
+            order = list(targets) + [q for q in order if q not in targets]
+        np.dot(m, cur.reshape(1 << k, -1), out=spare.reshape(1 << k, -1))
         cur, spare = spare, cur
+    if order != basis:
+        shape = (2,) * n
+        back = sorted(basis, key=order.__getitem__)  # the axis holding each qubit
+        np.copyto(spare.reshape(shape), cur.reshape(shape).transpose(back))
+        cur = spare
     return _frozen(n, cur)
 
 

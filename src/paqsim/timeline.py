@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, GatePlacementError
 from .gates import CpModel, cp_ideal_with_loss
-from .optics import PLATES
+from .optics import PLATES, plate_gates
 from .pulses import BlockadeModel, HardSphere
 from .qstate import StateVector, evolve, init_basis
 
@@ -34,6 +34,8 @@ class PlateOp:
     def __post_init__(self):
         if self.kind not in PLATES:
             raise ConfigError(f"unknown wave plate {self.kind!r}; use {' or '.join(PLATES)}")
+        if not math.isfinite(self.angle_deg):
+            raise ConfigError(f"wave-plate angle must be finite, got {self.angle_deg}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,9 @@ def run_timeline(
     for step in program.steps:
         if trace.cumulative_success * cycle < stop_threshold:
             break
-        ops = [(PLATES[plate.kind](plate.angle_deg), (q,)) for q, plate in step.pmu_ops]
+        # the step's plates from one array pass
+        plates = plate_gates([(plate.kind, plate.angle_deg) for _, plate in step.pmu_ops])
+        ops = [(gate, (q,)) for gate, (q, _) in zip(plates, step.pmu_ops)]
         for i, j in step.cp_pairs:
             d = program.distance(i, j)
             if not d <= reach:

@@ -479,6 +479,38 @@ def test_micro_checks_eta_and_seed_before_running(capsys, argv, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize(
+    "command", [("cnot-sweep", "--steps", "2"), ("pulse", "--scheme", "2")],
+    ids=["cnot-sweep", "pulse"],
+)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--samples", "0"), "need at least one sample, got 0"),
+        (("--samples", "-5"), "need at least one sample, got -5"),
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ],
+    ids=["samples-0", "samples-minus-5", "seed-minus-1"],
+)
+def test_echo_flags_are_checked_before_running(capsys, command, flags, message):
+    code, out, err = cli(capsys, *command, *flags)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_smallest_echo_flags_are_echoed_and_change_nothing_else(capsys):
+    sweep = ("cnot-sweep", "--eta-min", "0.33", "--eta-max", "1.0", "--steps", "3")
+    code, out, _ = cli(capsys, *sweep, "--samples", "1", "--seed", "0")
+    assert code == 0
+    assert out == cli(capsys, *sweep, "--samples", "2000", "--seed", "0")[1].replace(
+        ",2000,0\n", ",1,0\n"
+    )
+    code, out, _ = cli(capsys, "pulse", "--scheme", "1", "--samples", "1", "--seed", "0")
+    assert code == 0
+    want = cli(capsys, "pulse", "--scheme", "1", "--samples", "7", "--seed", "0")[1]
+    assert out == want.replace('"samples": 7,', '"samples": 1,')
+
+
 def test_micro_second_photon_over_pair_cap(capsys):
     code, out, err = cli(capsys, "micro", "write-write", "--atoms", "2001")
     assert code == 3

@@ -30,6 +30,7 @@ from paqsim import (
     qwp,
     run_circuit,
 )
+from paqsim.gates import PHASE, X90
 
 
 def test_cp_and_cnot_constants():
@@ -69,6 +70,24 @@ def test_lossy_cnot_against_explicit_product():
         cp_loss = np.diag([1.0, -s, -s, -eta])
         expect = np.kron(np.eye(2), p @ x) @ cp_loss @ np.kron(np.eye(2), x @ p)
         assert np.abs(lossy_cnot(eta).entries - expect).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "model",
+    [cp_ideal_with_loss, cp_model_scheme1(3.0, (1.05, 0.97, 1.0)), cp_model_scheme2(10 * math.pi, 5.0)],
+    ids=["ideal", "scheme1", "scheme2"],
+)
+def test_cnot_from_cp_keeps_the_bits_of_the_checked_product(model):
+    # the sandwich skips GateOpMatrix's checks, not its arithmetic
+    before = np.kron(np.eye(2), X90.entries @ PHASE.entries)
+    after = np.kron(np.eye(2), PHASE.entries @ X90.entries)
+    for eta in np.linspace(0.0, 1.0, 101):
+        cp = model(eta)
+        got = cnot_from_cp(cp)
+        want = GateOpMatrix(after @ cp.entries @ before).entries
+        assert np.array_equal(got.entries.view(np.uint64), want.view(np.uint64))
+        assert not got.entries.flags.writeable
+    assert lossy_cnot(0.5).unitary_flag is False
 
 
 def test_lossy_cnot_eta_zero_blocks():

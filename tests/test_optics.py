@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ from paqsim import (
     jones_matrix,
     qwp,
 )
+from paqsim.optics import PLATES, plate_gates
+
+
+def jones_reference(delta, theta):
+    """One plate by the textbook product, 2x2 at a time."""
+    th = np.deg2rad(theta)
+    c, s = np.cos(th), np.sin(th)
+    rot = np.array([[c, -s], [s, c]])
+    return np.array(rot @ np.diag([1.0, np.exp(1j * delta)]) @ rot.T, dtype=complex)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
 @pytest.mark.parametrize("delta", [0.0, np.pi / 2, np.pi, 1.234, 5.0])
@@ -26,6 +41,36 @@ def test_plate_half_turn_symmetry(theta):
     a = jones_matrix(WavePlate(np.pi / 2, theta)).entries
     b = jones_matrix(WavePlate(np.pi / 2, theta + 180.0)).entries
     assert np.abs(a - b).max() < 1e-12
+
+
+def test_plate_gates_keep_the_bits_of_the_one_plate_product():
+    rng = np.random.default_rng(4)
+    angles = [0.0, -0.0, 45.0, 90.0, 1e300]
+    angles += np.round(rng.uniform(0, 180, 300), 3).tolist() + rng.uniform(-1e4, 1e4, 300).tolist()
+    plates = [(kind, a) for a in angles for kind in PLATES] + [("qwp", 45.0), ("hwp", -0.0)]
+    gates = plate_gates(plates)
+    assert len(gates) == len(plates)
+    retardance = {"qwp": np.pi / 2, "hwp": np.pi}
+    for (kind, angle), gate in zip(plates, gates):
+        want = jones_reference(retardance[kind], angle)
+        assert same_bits(gate.entries, want)
+        assert same_bits(PLATES[kind](angle).entries, want)
+        assert not gate.entries.flags.writeable
+    for delta in rng.uniform(-10, 10, 50):
+        theta = float(rng.uniform(-360, 360))
+        assert same_bits(jones_matrix(WavePlate(delta, theta)).entries, jones_reference(delta, theta))
+    assert plate_gates([]) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_plates_are_config_errors(bad):
+    for plate in (WavePlate(np.pi / 2, bad), WavePlate(bad, 30.0)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            jones_matrix(plate)
+    with pytest.raises(ConfigError, match="must be finite"):
+        qwp(bad)
+    with pytest.raises(ConfigError, match="must be finite"):
+        plate_gates([("hwp", 10.0), ("qwp", bad)])
 
 
 def test_qwp_at_90_is_the_phase_gate():

@@ -328,6 +328,24 @@ def test_fitted_pair_frequency():
         assert abs(fit_pair_frequency(b) / SQRT2 - 1.0) < 0.01
 
 
+def fit_by_propagators(b_over_rabi, n_samples):
+    """The fit from one pair propagator per sample, as it was first written."""
+    xs = np.linspace(0.0, 1.5 * math.pi / SQRT2, n_samples)
+    pop = np.array([abs(pair_propagator(x, b_over_rabi)[0, 0]) ** 2 for x in xs])
+    i = int(np.argmin(pop))
+    y0, y1, y2 = pop[i - 1], pop[i], pop[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+    return math.pi / (xs[i] + shift * (xs[1] - xs[0]))
+
+
+@pytest.mark.parametrize("b", [math.inf, 300.0, 20.0, 3.0])
+def test_one_eigh_fit_matches_the_fit_by_propagators(b):
+    assert abs(fit_pair_frequency(b, n_samples=301) - fit_by_propagators(b, 301)) < 1e-12
+
+
 def test_fit_needs_an_interior_minimum():
     with pytest.raises(ConfigError):
         fit_pair_frequency(math.inf, n_samples=2)
+    with pytest.raises(ConfigError, match="NaN"):
+        fit_pair_frequency(math.nan)

@@ -18,7 +18,7 @@ from paqsim import (
     cp_ideal_with_loss,
     success_probability,
 )
-from paqsim.qstate import STRIDED_MIN
+from paqsim.qstate import STRIDED_BLOCK, STRIDED_MIN, STRIDED_STACKS
 
 PAULI_X = GateOpMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -87,6 +87,7 @@ def test_gate_matrix_validation():
 def test_unitary_flag():
     assert GateOpMatrix(np.eye(4)).unitary_flag
     assert not GateOpMatrix(np.diag([1.0, 0.5])).unitary_flag
+    assert "unitary_flag" not in vars(GateOpMatrix(np.eye(2)))  # computed on first read
     assert GateOpMatrix(np.eye(2)).arity == 1
     assert GateOpMatrix(np.eye(4)).arity == 2
 
@@ -233,12 +234,14 @@ def gate_of_kind(kind, rng):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 9), st.data())
+@given(st.integers(1, 14), st.data())
 def test_evolve_matches_tensordot_reference(n, data):
+    # bit for bit: evolve keeps a permuted qubit order between ops, which
+    # is only sound if no path changes the bits of a plain tensordot
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kinds = ["2x2"] if n == 1 else ["2x2", "diagonal", "control-block", "custom"]
     ops = []
-    for _ in range(data.draw(st.integers(1, 5))):
+    for _ in range(data.draw(st.integers(1, 12))):
         gate = gate_of_kind(data.draw(st.sampled_from(kinds)), rng)
         order = data.draw(st.permutations(range(n)))
         ops.append((gate, tuple(order[: gate.arity])))
@@ -246,11 +249,20 @@ def test_evolve_matches_tensordot_reference(n, data):
     want = state.amplitudes
     for gate, targets in ops:
         want = tensordot_reference(want, gate, targets, n)
-    np.testing.assert_allclose(evolve(state, ops).amplitudes, want, atol=1e-12)
+    got = evolve(state, ops).amplitudes
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def strided(n, targets):
+    """The qstate path rule for a lone op on a fresh state."""
+    below = 2 ** (n - 1 - max(targets))
+    stacks = 2 ** n // (2 * below)
+    return below >= STRIDED_MIN and (stacks <= STRIDED_STACKS or below >= STRIDED_BLOCK)
 
 
 # (n, kind, targets, gathered): trailing amplitudes after the highest target
-# are 2^(n-1-max(targets)); the strided path needs STRIDED_MIN = 16 of them
+# are 2^(n-1-max(targets)); the strided path needs STRIDED_MIN = 16 of them,
+# and either at most STRIDED_STACKS matmuls or STRIDED_BLOCK trailing ones
 LAYOUTS = [
     (6, "2x2", (5,), True),  # target on the last qubit
     (8, "2x2", (4,), True),  # 8 trailing amplitudes
@@ -264,12 +276,20 @@ LAYOUTS = [
     (7, "control-block", (3, 0), True),
     (8, "control-block", (4, 7), True),
     (8, "custom", (0, 1), True),  # not control-block-diagonal: always gathered
+    (12, "2x2", (7,), True),  # 16 trailing amplitudes but 128 matmuls
+    (12, "control-block", (7, 1), True),
+    (14, "2x2", (6,), False),  # 64 matmuls over 128 trailing amplitudes
+    (20, "2x2", (7,), False),  # 128 matmuls over 4096 trailing amplitudes
+    (20, "control-block", (0, 7), False),
+    (16, "2x2", (8,), False),  # 256 matmuls over 128 trailing amplitudes
+    (16, "2x2", (9,), True),  # 512 matmuls over 64 trailing amplitudes
+    (16, "control-block", (9, 2), True),
 ]
 
 
 @pytest.mark.parametrize("n, kind, targets, gathered", LAYOUTS)
 def test_each_kernel_path_keeps_tensordot_bits(monkeypatch, n, kind, targets, gathered):
-    assert (2 ** (n - 1 - max(targets)) >= STRIDED_MIN) != gathered or kind == "custom"
+    assert strided(n, targets) != gathered or kind == "custom"
     rng = np.random.default_rng(sum(targets) + 10 * n)
     gate = gate_of_kind(kind, rng)
     state = random_state(rng, n)
@@ -283,6 +303,25 @@ def test_each_kernel_path_keeps_tensordot_bits(monkeypatch, n, kind, targets, ga
     np.testing.assert_allclose(out, want, atol=1e-12)
     # the byte-identity rule of the qstate docstring: output must not
     # depend on which path a layout takes
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def test_evolve_copies_at_most_once_per_op(monkeypatch):
+    # every op below gathers; the order it leaves is restored once at the end
+    rng = np.random.default_rng(8)
+    n = 12
+    ops = [(gate_of_kind("2x2", rng), (q,)) for q in (11, 9, 11, 10, 3)]
+    ops += [(gate_of_kind("custom", rng), pair) for pair in ((5, 2), (2, 5), (0, 11))]
+    state = random_state(rng, n)
+    copies = []
+    real_copyto = np.copyto
+    monkeypatch.setattr(np, "copyto", lambda *a, **kw: copies.append(1) or real_copyto(*a, **kw))
+    out = evolve(state, ops).amplitudes
+    monkeypatch.undo()
+    assert len(copies) <= len(ops) + 1
+    want = state.amplitudes
+    for gate, targets in ops:
+        want = tensordot_reference(want, gate, targets, n)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 

@@ -14,12 +14,15 @@ from paqsim import (
     TimelineProgram,
     TimelineStep,
     apply_gate,
+    cp_ideal_with_loss,
+    evolve,
     hwp,
     init_basis,
     max_depth,
     qwp,
     run_timeline,
 )
+from paqsim.optics import PLATES
 
 
 def idle_program(n_qms, n_steps):
@@ -123,6 +126,15 @@ def test_plate_op_validation():
     assert PlateOp("qwp", 45.0).angle_deg == 45.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_timeline_rejects_non_finite_plate_angles(bad):
+    with pytest.raises(ConfigError, match=r"^wave-plate angle must be finite, got "):
+        run_timeline(
+            TimelineProgram(1, ((0.0, 0.0),), (TimelineStep(((0, PlateOp("qwp", bad)),)),)),
+            0.9,
+        )
+
+
 def test_program_distance():
     program = TimelineProgram(2, ((0.0, 0.0), (3.0, 4.0)))
     assert program.distance(0, 1) == pytest.approx(5.0)
@@ -186,6 +198,31 @@ def test_plates_apply_in_listed_order():
     swapped = apply_gate(init_basis(1, "0"), qwp(45.0), (0,))
     swapped = apply_gate(swapped, hwp(22.5), (0,))
     assert not np.allclose(trace.final_state.amplitudes, swapped.amplitudes)
+
+
+def test_timeline_keeps_the_bits_of_one_evolve_per_step():
+    # every plate from its step's one array pass has the bits of its own
+    # PLATES call, -0.0 included (its zeros differ in sign)
+    rng = np.random.default_rng(12)
+    n = 5
+    steps = []
+    for k in range(8):
+        angles = np.round(rng.uniform(0, 180, n), 1).tolist()
+        angles[0] = (-0.0, 0.0)[k % 2]
+        kinds = rng.choice(list(PLATES), n).tolist()
+        steps.append(TimelineStep(
+            tuple((q, PlateOp(kind, a)) for q, (kind, a) in enumerate(zip(kinds, angles))),
+            ((int(k % n), int((k + 2) % n)),),
+        ))
+    program = TimelineProgram(n, tuple((3.0 * q, 0.0) for q in range(n)), tuple(steps))
+    trace = run_timeline(program, 1.0)
+    want = init_basis(n, "0" * n)
+    cp = cp_ideal_with_loss(1.0)
+    for step in steps:
+        ops = [(PLATES[p.kind](p.angle_deg), (q,)) for q, p in step.pmu_ops]
+        want = evolve(want, ops + [(cp, pair) for pair in step.cp_pairs])
+    got = trace.final_state.amplitudes
+    assert np.array_equal(got.view(np.uint64), want.amplitudes.view(np.uint64))
 
 
 def test_random_plates_preserve_norm_at_unit_efficiency():
