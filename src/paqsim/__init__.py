@@ -50,20 +50,16 @@ from .memory import (
     write_photon,
 )
 from .metrics import (
-    FidelityReport,
     basis_avg_gate_fidelity,
     efficiency_basis_avg,
-    haar_avg_gate_fidelity,
     haar_exact_gate_fidelity,
     haar_weighted_gate_fidelity,
     process_fidelity_postselected,
     state_fidelity_postselected,
 )
 from .optics import (
-    WavePlate,
     distance_up_to_global_phase,
     hwp,
-    jones_matrix,
     qwp,
 )
 from .pulses import (
@@ -72,7 +68,6 @@ from .pulses import (
     Perfect,
     PowerLaw,
     PulseSpec,
-    fit_pair_frequency,
     pair_propagator,
     pair_propagators,
     scheme1_cp_matrix,
@@ -90,10 +85,8 @@ from .qcir import (
 from .qstate import (
     GateOpMatrix,
     StateVector,
-    apply_gate,
     evolve,
     init_basis,
-    success_probability,
 )
 from .timeline import (
     PlateOp,
@@ -116,7 +109,6 @@ __all__ = [
     "ConfigError",
     "EmptyMemoryError",
     "EnsembleConfig",
-    "FidelityReport",
     "GateOpMatrix",
     "GatePlacementError",
     "GhzTopology",
@@ -136,10 +128,8 @@ __all__ = [
     "TimelineProgram",
     "TimelineStep",
     "TimelineTrace",
-    "WavePlate",
     "X90",
     "apply_collective_pulse",
-    "apply_gate",
     "basis_avg_gate_fidelity",
     "build_ghz_circuit",
     "cnot_from_cp",
@@ -149,17 +139,14 @@ __all__ = [
     "distance_up_to_global_phase",
     "efficiency_basis_avg",
     "evolve",
-    "fit_pair_frequency",
     "gaussian_cloud",
     "ghz_dense_eval",
     "ghz_state",
     "ghz_transfer_eval",
-    "haar_avg_gate_fidelity",
     "haar_exact_gate_fidelity",
     "haar_weighted_gate_fidelity",
     "hwp",
     "init_basis",
-    "jones_matrix",
     "lossy_cnot",
     "max_depth",
     "pair_propagator",
@@ -179,7 +166,6 @@ __all__ = [
     "serialize_circuit",
     "serialize_timeline",
     "state_fidelity_postselected",
-    "success_probability",
     "two_level_propagator",
     "vacuum_state",
     "write_photon",

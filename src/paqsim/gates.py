@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .optics import PLATES
 from .pulses import _eta, scheme1_cp_matrix, scheme2_cp_matrix
-from .qstate import GateOpMatrix, StateVector, _trusted, evolve, init_basis
+from .qstate import GateOpMatrix, StateVector, _as_index, _trusted, evolve, init_basis
 
 HADAMARD = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 PHASE = GateOpMatrix(np.diag([1.0, -1.0j]))
@@ -77,7 +77,7 @@ class CircuitOp:
     matrix: GateOpMatrix | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", tuple(_as_index(t, "target") for t in self.targets))
         k = self.kind
         if k == "custom":
             if self.matrix is None or self.matrix.arity != len(self.targets):

@@ -1,12 +1,11 @@
 """Fidelity and efficiency definitions for post-selected lossy gates.
 
-Five definitions are shipped, because a single headline "gate fidelity"
+Four definitions are shipped, because a single headline "gate fidelity"
 number is ambiguous once loss enters:
 
   basis_avg      mean post-selected fidelity over computational basis inputs
   haar_exact     mean post-selected fidelity over Haar-random pure inputs,
                  by quadrature of its exact one-dimensional integral
-  haar_avg       Monte Carlo estimate of the same mean, kept as its oracle
   haar_weighted  Haar mean weighted by success probability, in closed form:
                  E|<Uz|Mz>|^2 / E<Mz|Mz> = (|tr A|^2 + tr(A A^dag))
                  / ((d+1) tr(M^dag M)) with A = U^dag M, which is
@@ -15,35 +14,16 @@ number is ambiguous once loss enters:
 
 All of them equal 1 whenever M is proportional to U. The CLI reports
 basis_avg, haar_exact and process.
-
-The Monte Carlo average is evaluated in fixed-size chunks, each with its
-own counter-derived generator seeded by (seed, chunk index), and the
-chunk partial sums are combined in index order, so the result is
-bit-identical for a given (samples, seed).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, PostSelectionError
 from .qstate import GateOpMatrix, StateVector
 
-HAAR_CHUNK = 8192
-
 _ZERO_NORM = 1e-300
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    definition: str
-    value: float
-    stderr: float | None = None
-    samples: int | None = None
-    seed: int | None = None
 
 
 def state_fidelity_postselected(out: StateVector, ideal: StateVector) -> float:
@@ -134,51 +114,3 @@ def haar_exact_gate_fidelity(m: GateOpMatrix, u: GateOpMatrix) -> float:
     quad = np.sum((sigma @ (np.abs(t) ** 2).T) * sigma, axis=1)
     integrand = np.prod(sigma, axis=1) * (lin + quad)
     return float(_DE_W @ integrand / (t.shape[0] * top))
-
-
-def _haar_chunk(a, b, seed, index, count):
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    d = a.shape[0]
-    z = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
-    z /= np.linalg.norm(z, axis=1)[:, None]
-    out = z @ a.T
-    ref = z @ b.T
-    num = np.abs(np.einsum("ij,ij->i", ref.conj(), out)) ** 2
-    den = np.einsum("ij,ij->i", out.conj(), out).real
-    ok = den > _ZERO_NORM
-    f = num[ok] / den[ok]
-    return float(f.sum()), float((f * f).sum()), int(ok.sum())
-
-
-def haar_avg_gate_fidelity(
-    m: GateOpMatrix,
-    u: GateOpMatrix,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> FidelityReport:
-    """Monte Carlo Haar-average post-selected fidelity of M against U.
-
-    Every input's normalized output fidelity has equal weight; see
-    haar_weighted_gate_fidelity for the success-weighted average.
-    """
-    a, b = m.entries, u.entries
-    if a.shape != b.shape:
-        raise ConfigError("gate matrices must share a dimension")
-    if samples < 100:
-        raise ConfigError(f"need at least 100 samples, got {samples}")
-    stats = [
-        _haar_chunk(a, b, seed, i, min(HAAR_CHUNK, samples - start))
-        for i, start in enumerate(range(0, samples, HAAR_CHUNK))
-    ]
-    sum_f = sum_f2 = 0.0
-    n_ok = 0
-    for f, f2, k in stats:
-        sum_f += f
-        sum_f2 += f2
-        n_ok += k
-    if n_ok == 0:
-        raise PostSelectionError("every sample was annihilated")
-    value = sum_f / n_ok
-    var = max(sum_f2 / n_ok - value**2, 0.0)
-    stderr = math.sqrt(var / max(n_ok - 1, 1))
-    return FidelityReport("haar_avg", float(value), float(stderr), samples, seed)

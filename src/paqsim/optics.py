@@ -9,17 +9,15 @@ with R the usual 2x2 rotation. The +i sign in the fast-axis frame is
 what makes a QWP at theta=90 deg act as diag(1, -i) on (H, V), the
 phase gate the CNOT decomposition needs; textbook conventions differ.
 
-There is one plate path: `plate_gates` builds a list of plates in one
-array pass, as stacked 2x2 products, and `jones_matrix` (with `qwp` and
-`hwp`) is a stack of one. Each plate gets the bits of
-the 2x2 product on its own. A plate is unitary by construction, so its
-GateOpMatrix skips the singular-value check; a non-finite retardance or
-angle is a ConfigError.
+There is one plate path: `plate_gates` builds a list of (kind, angle)
+plates in one array pass, as stacked 2x2 products, and `PLATES[kind]`
+(`qwp`, `hwp`) is a stack of one. Each plate gets the bits of the 2x2
+product on its own. A plate is unitary by construction, so its
+GateOpMatrix skips the singular-value check; a non-finite angle is a
+ConfigError.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +26,6 @@ from .qstate import GateOpMatrix, _trusted
 
 QUARTER_WAVE = np.pi / 2
 HALF_WAVE = np.pi
-
-
-@dataclass(frozen=True)
-class WavePlate:
-    retardance: float  # radians: pi/2 quarter-wave, pi half-wave
-    fast_axis_deg: float  # degrees from the H-polarization axis
 
 
 def _jones_stack(retardance, fast_axis_deg) -> list[GateOpMatrix]:
@@ -50,10 +42,6 @@ def _jones_stack(retardance, fast_axis_deg) -> list[GateOpMatrix]:
     ret[:, 1, 1] = np.exp(1j * delta)
     # unitary by construction, so GateOpMatrix's checks are skipped
     return _trusted(rot @ ret @ rot.swapaxes(1, 2))
-
-
-def jones_matrix(plate: WavePlate) -> GateOpMatrix:
-    return _jones_stack([plate.retardance], [plate.fast_axis_deg])[0]
 
 
 # the wave-plate vocabulary of .qc gates and .qtl pmu statements

@@ -269,30 +269,3 @@ def scheme2_cp_matrix(
     single = two_level_propagator(PulseSpec(area)).entries[0, 0]
     pair = scheme2_pair_return(area, b_over_rabi)
     return GateOpMatrix(np.diag([1.0, s * single, s * single, eta * pair]))
-
-
-def fit_pair_frequency(b_over_rabi: float, n_samples: int = 3001) -> float:
-    """Fit the pair oscillation frequency in units of Omega.
-
-    Locates the first minimum of the pair ground population over a
-    window slightly longer than half a sqrt(2)-enhanced cycle and
-    refines it parabolically; a perfectly blockaded pair fits sqrt(2).
-    H t is the area times the area-1 ladder of `pair_propagators`, so one
-    eigh of that ladder gives every sample; an infinite shift freezes rr.
-    """
-    shifts, det = _pair_drive(1.0, [b_over_rabi], 0.0, 0.0)
-    ladder = _pair_ladders(1.0, shifts, det, 0.0)[0]
-    w, vecs = np.linalg.eigh(ladder[:2, :2] if math.isinf(b_over_rabi) else ladder)
-    x_max = 1.5 * math.pi / math.sqrt(2)
-    xs = np.linspace(0.0, x_max, n_samples)
-    # <g2g2| V e^{-i w x} V^dag |g2g2> for every sample x at once
-    pop = np.abs(np.exp(-1j * np.outer(xs, w)) @ np.abs(vecs[0]) ** 2) ** 2
-    i = int(np.argmin(pop))
-    if i == 0 or i == n_samples - 1:
-        raise ConfigError("no interior population minimum in the fit window")
-    # parabola through the three points around the sampled minimum
-    y0, y1, y2 = pop[i - 1], pop[i], pop[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    x_min = xs[i] + shift * (xs[1] - xs[0])
-    return math.pi / x_min

@@ -41,6 +41,7 @@ margin).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -160,8 +161,16 @@ def _frozen(n_qubits: int, amps: np.ndarray) -> StateVector:
     return state
 
 
+def _as_index(value, what: str) -> int:
+    """operator.index(value): numpy integers pass, and 0.5 is not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _targets(gate: GateOpMatrix, targets, n: int) -> tuple[int, ...]:
-    targets = tuple(targets)
+    targets = tuple([_as_index(q, "target") for q in targets])
     k = gate.arity
     if len(targets) != k:
         raise ConfigError(f"gate arity {k} but {len(targets)} targets given")
@@ -237,13 +246,3 @@ def evolve(
         np.copyto(spare.reshape(shape), cur.reshape(shape).transpose(back))
         cur = spare
     return _frozen(n, cur)
-
-
-def apply_gate(state: StateVector, gate: GateOpMatrix, targets: list[int]) -> StateVector:
-    """Apply `gate` to the target qubits, identity elsewhere (see evolve)."""
-    return evolve(state, [(gate, targets)])
-
-
-def success_probability(state: StateVector) -> float:
-    """Squared norm: probability that no photon was lost."""
-    return state.norm_sq

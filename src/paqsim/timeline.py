@@ -23,7 +23,7 @@ from .errors import ConfigError, GatePlacementError
 from .gates import CpModel, cp_ideal_with_loss
 from .optics import PLATES, plate_gates
 from .pulses import BlockadeModel, HardSphere
-from .qstate import StateVector, evolve, init_basis
+from .qstate import StateVector, _as_index, evolve, init_basis
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,10 @@ class TimelineStep:
     cp_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pmu_ops", tuple(self.pmu_ops))
-        object.__setattr__(
-            self, "cp_pairs", tuple((int(a), int(b)) for a, b in self.cp_pairs)
-        )
+        pmu = tuple((_as_index(q, "pmu index"), plate) for q, plate in self.pmu_ops)
+        cps = tuple((_as_index(a, "cp index"), _as_index(b, "cp index")) for a, b in self.cp_pairs)
+        object.__setattr__(self, "pmu_ops", pmu)
+        object.__setattr__(self, "cp_pairs", cps)
 
 
 @dataclass(frozen=True)
@@ -59,31 +59,33 @@ class TimelineProgram:
     steps: tuple[TimelineStep, ...] = ()
 
     def __post_init__(self):
-        if self.n_qms < 1:
-            raise ConfigError(f"need at least one memory, got {self.n_qms}")
+        n = _as_index(self.n_qms, "memory count")
+        if n < 1:
+            raise ConfigError(f"need at least one memory, got {n}")
         pos = tuple((float(x), float(y)) for x, y in self.positions)
-        if len(pos) != self.n_qms:
-            raise ConfigError(
-                f"got {len(pos)} positions for {self.n_qms} memories"
-            )
+        if len(pos) != n:
+            raise ConfigError(f"got {len(pos)} positions for {n} memories")
+        if not np.isfinite(pos).all():
+            raise ConfigError(f"memory positions must be finite, got {pos}")
+        object.__setattr__(self, "n_qms", n)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
             used: set[int] = set()
             for i, j in step.cp_pairs:
-                for q in (i, j):
-                    if not 0 <= q < self.n_qms:
-                        raise ConfigError(f"cp index {q} out of range")
-                    if q in used:
-                        raise ConfigError(
-                            f"memory {q} appears in two cp pairs of one step"
-                        )
-                    used.add(q)
                 if i == j:
                     raise ConfigError(f"cp pair ({i}, {j}) must be distinct")
-            for q, _ in step.pmu_ops:
-                if not 0 <= q < self.n_qms:
+                for q in (i, j):
+                    if not 0 <= q < n:
+                        raise ConfigError(f"cp index {q} out of range")
+                    if q in used:
+                        raise ConfigError(f"memory {q} appears in two cp pairs of one step")
+                    used.add(q)
+            for q, plate in step.pmu_ops:
+                if not 0 <= q < n:
                     raise ConfigError(f"pmu index {q} out of range")
+                if not isinstance(plate, PlateOp):
+                    raise ConfigError(f"pmu plate must be a PlateOp, got {plate!r}")
 
     def distance(self, i: int, j: int) -> float:
         (xa, ya), (xb, yb) = self.positions[i], self.positions[j]

@@ -23,11 +23,9 @@ from paqsim import (
     basis_avg_gate_fidelity,
     distance_up_to_global_phase,
     efficiency_basis_avg,
-    fit_pair_frequency,
     gaussian_cloud,
     ghz_dense_eval,
     ghz_transfer_eval,
-    haar_avg_gate_fidelity,
     hwp,
     lossy_cnot,
     max_depth,
@@ -48,6 +46,7 @@ from paqsim import (
 from paqsim.cli import main
 
 import _corpus
+from _oracles import fit_pair_frequency, haar_avg_gate_fidelity
 
 
 def _report(number: int, ok: bool, detail: str) -> None:

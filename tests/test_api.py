@@ -1,0 +1,44 @@
+"""The public API: `paqsim.__all__` is the one list of exported names."""
+
+import importlib
+import pkgutil
+import types
+
+import paqsim
+
+# not exported: test oracles, which live in tests/_oracles.py, and
+# one-line twins of other calls
+RETIRED = (
+    "FidelityReport",
+    "WavePlate",
+    "apply_gate",
+    "fit_pair_frequency",
+    "haar_avg_gate_fidelity",
+    "jones_matrix",
+    "success_probability",
+)
+
+
+def test_all_is_sorted_unique_and_the_public_names():
+    names = paqsim.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    public = {
+        name
+        for name, value in vars(paqsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public
+
+
+def test_retired_names_are_gone():
+    modules = [paqsim] + [
+        importlib.import_module(f"paqsim.{info.name}")
+        for info in pkgutil.iter_modules(paqsim.__path__)
+        if info.name != "__main__"  # importing it would run the CLI
+    ]
+    assert len(modules) >= 11
+    for name in RETIRED:
+        assert name not in paqsim.__all__
+        for module in modules:
+            assert not hasattr(module, name), (module.__name__, name)

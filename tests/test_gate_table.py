@@ -24,7 +24,6 @@ from paqsim import (
     StateVector,
     TimelineProgram,
     TimelineStep,
-    apply_gate,
     cnot_from_cp,
     cp_ideal_with_loss,
     cp_model_scheme1,
@@ -39,6 +38,8 @@ from paqsim import (
 )
 from paqsim.gates import GATES
 from paqsim.optics import PLATES
+
+from _oracles import apply_gate
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

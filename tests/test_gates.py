@@ -15,7 +15,6 @@ from paqsim import (
     GateOpMatrix,
     GhzTopology,
     StateVector,
-    apply_gate,
     build_ghz_circuit,
     cnot_from_cp,
     cp_ideal_with_loss,
@@ -31,6 +30,8 @@ from paqsim import (
     run_circuit,
 )
 from paqsim.gates import PHASE, X90
+
+from _oracles import apply_gate
 
 
 def test_cp_and_cnot_constants():
@@ -146,6 +147,23 @@ def test_circuit_op_validation():
         CircuitOp("nope", (0,))
     with pytest.raises(ConfigError):
         CircuitOp("custom", (0, 1), matrix=GateOpMatrix(np.eye(2)))
+
+
+def test_circuit_op_indices_must_be_integral():
+    # a float index is refused, not truncated to a qubit
+    for targets in ((0.5,), (1.0,), ("0",)):
+        with pytest.raises(ConfigError, match="^target must be an integer"):
+            CircuitOp("h", targets)
+    with pytest.raises(ConfigError, match="^target must be an integer"):
+        CircuitOp("cnot", (0, 1.5))
+    ops = (CircuitOp("h", (0,)), CircuitOp("cnot", (0, 1)), CircuitOp("qwp", (1,), 30.0))
+    want = run_circuit(CircuitIR(2, ops), 0.7)
+    for index in (np.int64, np.int32, np.uint8):
+        typed = tuple(CircuitOp(op.kind, tuple(map(index, op.targets)), op.angle_deg) for op in ops)
+        assert typed == ops
+        assert all(type(q) is int for op in typed for q in op.targets)
+        got = run_circuit(CircuitIR(2, typed), 0.7)
+        assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
 
 
 def test_circuit_ir_validation():

@@ -15,7 +15,6 @@ from paqsim import (
     basis_avg_gate_fidelity,
     efficiency_basis_avg,
     ghz_state,
-    haar_avg_gate_fidelity,
     haar_exact_gate_fidelity,
     haar_weighted_gate_fidelity,
     init_basis,
@@ -25,7 +24,8 @@ from paqsim import (
     scheme2_cp_matrix,
     state_fidelity_postselected,
 )
-import paqsim.metrics
+
+from _oracles import _haar_chunk, haar_avg_gate_fidelity
 
 # converged Monte Carlo reference values (2e6 samples, three seeds agreeing)
 HAAR_CNOT_033 = 0.893095
@@ -216,7 +216,7 @@ def test_haar_weighted_is_process_fidelity_affine(seed, d, c):
 
 def test_haar_chunk_returns_the_three_plain_sums():
     a, b = lossy_cnot(0.33).entries, CNOT.entries
-    sum_f, sum_f2, n_ok = paqsim.metrics._haar_chunk(a, b, 0, 0, 1000)
+    sum_f, sum_f2, n_ok = _haar_chunk(a, b, 0, 0, 1000)
     assert n_ok == 1000
     assert 0.0 < sum_f2 <= sum_f <= n_ok
 

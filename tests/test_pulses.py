@@ -1,6 +1,7 @@
 import math
 
 import _dict_memory
+from _oracles import fit_pair_frequency
 import numpy as np
 import pytest
 
@@ -10,7 +11,6 @@ from paqsim import (
     Perfect,
     PowerLaw,
     PulseSpec,
-    fit_pair_frequency,
     pair_propagator,
     pair_propagators,
     scheme1_cp_matrix,

@@ -11,14 +11,14 @@ from paqsim import (
     ConfigError,
     GateOpMatrix,
     StateVector,
-    apply_gate,
     evolve,
     init_basis,
     lossy_cnot,
     cp_ideal_with_loss,
-    success_probability,
 )
 from paqsim.qstate import STRIDED_BLOCK, STRIDED_MIN, STRIDED_STACKS
+
+from _oracles import apply_gate
 
 PAULI_X = GateOpMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -116,13 +116,13 @@ def test_lossy_cnot_on_10_matches_closed_form():
     assert abs(out.amplitudes[2] - (-0.1222)) < 5e-5
     assert abs(out.amplitudes[3] - 0.4522) < 5e-5
     # success probability eta(1+eta)/2
-    assert abs(success_probability(out) - 0.33 * 1.33 / 2) < 1e-14
-    assert abs(success_probability(out) - 0.2194) < 1e-4
+    assert abs(out.norm_sq - 0.33 * 1.33 / 2) < 1e-14
+    assert abs(out.norm_sq - 0.2194) < 1e-4
 
 
 def test_h_path_bypasses_loss():
     out = apply_gate(init_basis(2, "00"), cp_ideal_with_loss(0.4), [0, 1])
-    assert abs(success_probability(out) - 1.0) < 1e-15
+    assert abs(out.norm_sq - 1.0) < 1e-15
 
 
 def test_unitary_preserves_norm():
@@ -170,6 +170,24 @@ def test_apply_gate_target_validation():
         apply_gate(s, GateOpMatrix(np.eye(4)), [0, 0])
     with pytest.raises(ConfigError):
         apply_gate(s, GateOpMatrix(np.eye(4)), [0])
+
+
+def test_evolve_targets_must_be_integral():
+    s = init_basis(2, "00")
+    hadamard = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
+    for targets in ((0.5,), (np.float64(1.0),), ("1",)):
+        with pytest.raises(ConfigError, match="^target must be an integer"):
+            evolve(s, [(hadamard, targets)])
+    with pytest.raises(ConfigError, match="^target must be an integer"):
+        evolve(s, [(hadamard, (0,)), (lossy_cnot(0.5), (0, 0.5))])
+    rng = np.random.default_rng(9)
+    state = random_state(rng, 5)
+    ops = [(hadamard, (3,)), (lossy_cnot(0.4), (4, 1)), (random_unitary(rng, 4), (0, 2))]
+    want = evolve(state, ops)
+    for index in (np.int64, np.int32, np.uint8, np.intp):
+        typed = [(g, tuple(map(index, t))) for g, t in ops]
+        got = evolve(state, typed)
+        assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
 
 
 def kron_reference(gate, targets, n):

@@ -13,7 +13,6 @@ from paqsim import (
     PlateOp,
     TimelineProgram,
     TimelineStep,
-    apply_gate,
     cp_ideal_with_loss,
     evolve,
     hwp,
@@ -23,6 +22,8 @@ from paqsim import (
     run_timeline,
 )
 from paqsim.optics import PLATES
+
+from _oracles import apply_gate
 
 
 def idle_program(n_qms, n_steps):
@@ -133,6 +134,59 @@ def test_run_timeline_rejects_non_finite_plate_angles(bad):
             TimelineProgram(1, ((0.0, 0.0),), (TimelineStep(((0, PlateOp("qwp", bad)),)),)),
             0.9,
         )
+
+
+POS2 = ((0.0, 0.0), (1.0, 0.0))
+
+
+def test_indices_must_be_integral():
+    with pytest.raises(ConfigError, match=r"^cp index must be an integer, got 0\.5$"):
+        TimelineStep(cp_pairs=((0.5, 1),))
+    with pytest.raises(ConfigError, match=r"^pmu index must be an integer, got 0\.5$"):
+        TimelineStep(pmu_ops=((0.5, PlateOp("hwp", 1.0)),))
+    with pytest.raises(ConfigError, match=r"^memory count must be an integer, got 2\.0$"):
+        TimelineProgram(2.0, POS2)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_timeline(
+            TimelineProgram(2, POS2, (TimelineStep(((0.5, PlateOp("hwp", 1.0)),)),)), 0.9
+        )
+
+
+def test_numpy_indices_keep_the_bits():
+    def program(index):
+        step = TimelineStep(
+            ((index(1), PlateOp("hwp", 22.5)), (index(0), PlateOp("qwp", 30.0))),
+            ((index(0), index(1)),),
+        )
+        return TimelineProgram(index(2), POS2, (step, step))
+
+    want = run_timeline(program(int), 0.9)
+    for index in (np.int64, np.int32, np.uint8):
+        prog = program(index)
+        assert prog == program(int)
+        assert all(type(q) is int for q, _ in prog.steps[0].pmu_ops)
+        assert all(type(q) is int for pair in prog.steps[0].cp_pairs for q in pair)
+        got = run_timeline(prog, 0.9)
+        assert got.per_step_survival == want.per_step_survival
+        assert np.array_equal(
+            got.final_state.amplitudes.view(np.uint64), want.final_state.amplitudes.view(np.uint64)
+        )
+
+
+def test_program_rejects_what_run_timeline_cannot_run():
+    # run_timeline reads .kind and .angle_deg of every plate
+    with pytest.raises(ConfigError, match=r"^pmu plate must be a PlateOp, got \('hwp', 1\.0\)$"):
+        TimelineProgram(2, POS2, (TimelineStep(((0, ("hwp", 1.0)),)),))
+    # a repeated memory is a pair that is not distinct, not two pairs
+    with pytest.raises(ConfigError, match=r"^cp pair \(1, 1\) must be distinct$"):
+        TimelineProgram(2, POS2, (TimelineStep(cp_pairs=((1, 1),)),))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_program_rejects_non_finite_positions(bad):
+    for xy in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ConfigError, match="^memory positions must be finite"):
+            TimelineProgram(2, ((0.0, 0.0), xy))
 
 
 def test_program_distance():
@@ -280,10 +334,14 @@ def test_cp_reach_enforced():
 
 
 def test_cp_reach_rejects_nan_distance():
+    # a NaN position is refused with the program, before any reach check
+    with pytest.raises(ConfigError, match="positions must be finite"):
+        TimelineProgram(2, ((0.0, 0.0), (math.nan, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),))
+    # finite positions whose distance overflows are still out of reach
     program = TimelineProgram(
-        2, ((0.0, 0.0), (math.nan, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((-1e308, 0.0), (1e308, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
     )
-    with pytest.raises(GatePlacementError, match="at nan um"):
+    with pytest.raises(GatePlacementError, match="at inf um"):
         run_timeline(program, 0.9)
 
 
