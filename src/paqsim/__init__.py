@@ -68,12 +68,9 @@ from .pulses import (
     Perfect,
     PowerLaw,
     PulseSpec,
-    pair_propagator,
     pair_propagators,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
-    scheme2_leakage,
-    scheme2_pair_return,
     two_level_propagator,
 )
 from .qcir import (
@@ -149,7 +146,6 @@ __all__ = [
     "init_basis",
     "lossy_cnot",
     "max_depth",
-    "pair_propagator",
     "pair_propagators",
     "parse_circuit",
     "parse_timeline",
@@ -161,8 +157,6 @@ __all__ = [
     "scheme1_cp_matrix",
     "scheme1_cp_micro",
     "scheme2_cp_matrix",
-    "scheme2_leakage",
-    "scheme2_pair_return",
     "serialize_circuit",
     "serialize_timeline",
     "state_fidelity_postselected",

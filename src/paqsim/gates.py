@@ -74,15 +74,10 @@ class CircuitOp:
     kind: str
     targets: tuple[int, ...]
     angle_deg: float | None = None
-    matrix: GateOpMatrix | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(_as_index(t, "target") for t in self.targets))
         k = self.kind
-        if k == "custom":
-            if self.matrix is None or self.matrix.arity != len(self.targets):
-                raise ConfigError("custom op needs a matrix matching its target count")
-            return
         spec = GATES.get(k)
         if spec is None:
             raise ConfigError(f"unknown op kind {k!r}")
@@ -98,7 +93,7 @@ class CircuitIR:
     ops: tuple[CircuitOp, ...]
 
     def __post_init__(self):
-        if self.n_qubits < 1:
+        if _as_index(self.n_qubits, "qubit count") < 1:
             raise ConfigError(f"need at least one qubit, got {self.n_qubits}")
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
@@ -175,15 +170,12 @@ def run_circuit(
     elif initial.n_qubits != circuit.n_qubits:
         raise ConfigError("initial state size does not match circuit")
     build = functools.cache(lambda kind, angle: GATES[kind].build(angle, eta, cp_model))
-    return evolve(initial, [
-        (op.matrix if op.kind == "custom" else build(op.kind, op.angle_deg), op.targets)
-        for op in circuit.ops
-    ])
+    return evolve(initial, [(build(op.kind, op.angle_deg), op.targets) for op in circuit.ops])
 
 
 def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> CircuitIR:
     """H on qubit 0 followed by N-1 CNOTs, fanned out or chained."""
-    if n < 2:
+    if _as_index(n, "GHZ size") < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
     ops = [CircuitOp("h", (0,))]
     for i in range(1, n):
@@ -193,7 +185,7 @@ def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> Circu
 
 
 def _ghz_amplitudes(n: int) -> np.ndarray:
-    if n < 2:
+    if _as_index(n, "GHZ size") < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
@@ -223,7 +215,7 @@ def ghz_transfer_eval(
     its largest eigenvalue: the fidelity never forms 0/0, and only the
     efficiency underflows at large n.
     """
-    if n < 2:
+    if _as_index(n, "GHZ size") < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
     _eta(eta)
     t00, t01, t10, t11 = _branch_transfers(eta)

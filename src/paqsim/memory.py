@@ -48,7 +48,7 @@ from .errors import (
     MemoryCapacityError,
 )
 from .pulses import BlockadeModel, PulseSpec, _eta, pair_propagators, two_level_propagator
-from .qstate import GateOpMatrix
+from .qstate import GateOpMatrix, _as_index
 
 Config = tuple[tuple[int, str], ...]
 LEVELS = ("g2", "r")
@@ -108,18 +108,18 @@ class EnsembleConfig:
 
 def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np.ndarray:
     """Sample isotropic Gaussian atom positions, (N,3) in micrometers."""
-    if n_atoms < 1:
+    if _as_index(n_atoms, "atom count") < 1:
         raise ConfigError(f"need at least one atom, got {n_atoms}")
     if not 0 <= sigma_um < math.inf:
         raise ConfigError(f"cloud sigma must be finite and >= 0, got {sigma_um}")
     if seed is not None and seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, sigma_um, size=(n_atoms, 3))
+    return rng.normal(0.0, abs(sigma_um), size=(n_atoms, 3))  # numpy refuses -0.0
 
 
 def _canonical(config) -> Config:
-    out = tuple(sorted((int(i), str(lvl)) for i, lvl in config))
+    out = tuple(sorted((_as_index(i, "atom index"), str(lvl)) for i, lvl in config))
     for k, (i, lvl) in enumerate(out):
         if lvl not in LEVELS:
             raise ConfigError(f"unknown level {lvl!r} in configuration")

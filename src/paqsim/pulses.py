@@ -9,7 +9,8 @@ Hamiltonian convention is
 on the (g2, r) pair, i.e. the ground state sits at zero energy. A
 resonant pi pulse therefore maps g2 -> -i r, and two pi pulses give an
 overall -1, the sign the CP protocols rely on. An infinite detuning
-(perfect blockade) returns the identity: the blockaded limit.
+(perfect blockade) returns the identity: the blockaded limit. Propagators
+are unitary by construction and skip the gate check, as plates do.
 
 The 4x4 CP matrices are single post-selected branches on the photonic
 basis (|00>, |01>, |10>, |11>): memory loss contributes sqrt(eta) per
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .qstate import GateOpMatrix
+from .qstate import GateOpMatrix, _trusted
 
 # blockade shift treated as operative for reach purposes once B/Omega
 # reaches this value (pulse leakage <= 1e-4)
@@ -44,6 +45,12 @@ def _distance(distance_um) -> np.ndarray:
         bad = d[~ok][0]
         raise ConfigError(f"blockade distance must be finite and >= 0, got {bad}")
     return d
+
+
+def _area(area: float) -> None:
+    """The one check on a pulse area."""
+    if not 0 <= area < math.inf:
+        raise ConfigError(f"pulse area must be finite and >= 0, got {area}")
 
 
 def _drive(detuning_over_rabi, phase: float) -> None:
@@ -68,8 +75,7 @@ class PulseSpec:
     phase: float = 0.0  # laser phase
 
     def __post_init__(self):
-        if not 0 <= self.area < math.inf:
-            raise ConfigError(f"pulse area must be finite and >= 0, got {self.area}")
+        _area(self.area)
         _drive(self.detuning_over_rabi, self.phase)
 
 
@@ -114,11 +120,17 @@ class PowerLaw:
 
     def shift_over_rabi(self, distance_um):
         d = _distance(distance_um)
-        c6, rabi = self.c6_mhz_um6, self.reference_rabi_mhz
-        # r**6 on Python floats goes through libm pow, whose bits numpy's
-        # vectorised power does not reproduce
-        shifts = [math.inf if r <= 0 else c6 / r**6 / rabi for r in d.ravel().tolist()]
+        shifts = [self._shift(r) for r in d.ravel().tolist()]
         return np.array(shifts, dtype=float).reshape(d.shape)[()]
+
+    def _shift(self, r: float) -> float:
+        # r**6 on a Python float is libm pow, whose bits numpy's vectorised
+        # power does not reproduce; it underflows to 0 or raises past the range
+        try:
+            r6 = r**6
+        except OverflowError:
+            return 0.0
+        return self.c6_mhz_um6 / r6 / self.reference_rabi_mhz if r6 else math.inf
 
     def reach_um(self) -> float:
         # distance where B/Omega falls to the operative threshold
@@ -132,32 +144,22 @@ BlockadeModel = Perfect | HardSphere | PowerLaw
 def two_level_propagator(pulse: PulseSpec) -> GateOpMatrix:
     """Exact propagator for one pulse on the (g2, r) two-level system."""
     theta = pulse.area
-    if not math.isfinite(pulse.detuning_over_rabi * theta):
-        return GateOpMatrix(np.eye(2))
     dt = pulse.detuning_over_rabi * theta  # Delta * t
     alpha = dt / 2.0
     vx = (theta / 2.0) * math.cos(pulse.phase)
     vy = (theta / 2.0) * math.sin(pulse.phase)
     vz = -dt / 2.0
     v = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if v == 0.0:
-        return GateOpMatrix(np.eye(2))
+    if v == math.inf:  # the squares overflow; the norm may not
+        v = math.hypot(vx, vy, vz)
+    if not 0.0 < v < math.inf:  # no drive, or an infinite (or NaN: inf * 0) Delta * t
+        return _trusted(np.eye(2, dtype=complex)[None])[0]
     c, s = math.cos(v), math.sin(v)
     sv = np.array(
         [[vz, vx - 1j * vy], [vx + 1j * vy, -vz]], dtype=complex
     ) / v
     u = np.exp(-1j * alpha) * (c * np.eye(2) - 1j * s * sv)
-    return GateOpMatrix(u)
-
-
-def pair_propagator(
-    area: float,
-    pair_shift_over_rabi: float,
-    detuning_over_rabi: float = 0.0,
-    phase: float = 0.0,
-) -> np.ndarray:
-    """3x3 propagator on {g2g2, symmetric single-r, rr}; see `pair_propagators`."""
-    return pair_propagators(area, [pair_shift_over_rabi], detuning_over_rabi, phase)[0]
+    return _trusted(u[None])[0]
 
 
 def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.ndarray:
@@ -191,8 +193,7 @@ def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.n
 
 def _pair_drive(area: float, shifts, detunings, phase: float):
     """Checked (shifts, detunings) arrays of one shape for the pair ladder."""
-    if not area >= 0:
-        raise ConfigError(f"pulse area must be >= 0, got {area}")
+    _area(area)
     shifts = np.asarray(shifts, dtype=float)
     det = np.broadcast_to(np.asarray(detunings, dtype=float), shifts.shape)
     if np.isnan(shifts).any():
@@ -241,16 +242,6 @@ def scheme1_cp_matrix(
     )
 
 
-def scheme2_pair_return(area: float, b_over_rabi: float = math.inf) -> complex:
-    """Amplitude for a blockaded g2 pair to return after one pulse."""
-    return complex(pair_propagator(area, b_over_rabi)[0, 0])
-
-
-def scheme2_leakage(area: float, b_over_rabi: float = math.inf) -> float:
-    """Pair population stranded in Rydberg configurations after the pulse."""
-    return 1.0 - abs(scheme2_pair_return(area, b_over_rabi)) ** 2
-
-
 def scheme2_cp_matrix(
     eta: float, area: float = 10.0 * math.pi, b_over_rabi: float = math.inf
 ) -> GateOpMatrix:
@@ -267,5 +258,5 @@ def scheme2_cp_matrix(
         raise ConfigError(f"blockade shift must be >= 0, got {b_over_rabi}")
     s = math.sqrt(eta)
     single = two_level_propagator(PulseSpec(area)).entries[0, 0]
-    pair = scheme2_pair_return(area, b_over_rabi)
+    pair = complex(pair_propagators(area, [b_over_rabi], 0.0)[0, 0, 0])
     return GateOpMatrix(np.diag([1.0, s * single, s * single, eta * pair]))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 from .gates import GATES, CircuitIR, CircuitOp
 from .optics import PLATES
 from .timeline import PlateOp, TimelineProgram, TimelineStep
@@ -115,8 +115,6 @@ def parse_circuit(text: str) -> CircuitIR:
 def serialize_circuit(circuit: CircuitIR) -> str:
     lines = [f"qubits {circuit.n_qubits}"]
     for op in circuit.ops:
-        if op.kind not in GATES:
-            raise ConfigError(f"{op.kind} ops have no text form")
         angle = "" if op.angle_deg is None else f" {op.angle_deg:.17g}"
         lines.append(" ".join([op.kind, *map(str, op.targets)]) + angle)
     return "\n".join(lines) + "\n"

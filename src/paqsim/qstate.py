@@ -8,6 +8,8 @@ as the control, so printed matrices can be read off literally.
 Amplitudes are generally unnormalized: a lossy gate is a single
 post-selected Kraus branch, and the squared norm of the state is the
 probability that no photon was lost (coincidence-detection success).
+A GateOpMatrix is checked once, by its 2-norm; unitaries by construction
+(plates, pulse propagators, the CNOT sandwich) skip it via `_trusted`.
 
 `evolve` applies a whole op list on two private buffers and wraps the
 last one in a StateVector once. Between ops it keeps the qubits in an
@@ -40,7 +42,6 @@ margin).
 
 from __future__ import annotations
 
-import math
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-ATOL = 1e-12
 NORM_CAP = 1.0 + 1e-9  # loss never amplifies
 STRIDED_MIN = 16  # trailing amplitudes a strided matmul needs to keep the bits
 STRIDED_STACKS = 64  # up to this many stacked matmuls, strided beats a gather
@@ -66,12 +66,10 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if self.n_qubits < 1:
+        if _as_index(self.n_qubits, "qubit count") < 1:
             raise ConfigError(f"need at least one qubit, got {self.n_qubits}")
         if amps.size != 2**self.n_qubits:
-            raise ConfigError(
-                f"amplitude length {amps.size} != 2^{self.n_qubits}"
-            )
+            raise ConfigError(f"amplitude length {amps.size} != 2^{self.n_qubits}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -93,24 +91,11 @@ class GateOpMatrix:
         if not np.isfinite(m).all():
             raise ConfigError("gate entries must be finite")
         # physical post-selected branch: largest singular value <= 1
-        if m.shape == (2, 2):
-            # largest eigenvalue of the Gram matrix [[p, q], [q*, r]] in closed
-            # form; ((p-r)/2)^2 + |q|^2 equals (f^2 - 4|det M|^2)/4 with
-            # f = p + r, but sums squares where that form cancels
-            gram = m.conj().T @ m
-            p, r, q = gram[0, 0].real, gram[1, 1].real, gram[0, 1]
-            smax = math.sqrt((p + r) / 2.0 + math.hypot((p - r) / 2.0, abs(q)))
-        else:
-            smax = float(np.linalg.norm(m, 2))
+        smax = float(np.linalg.norm(m, 2))
         if smax > NORM_CAP:
             raise ConfigError(f"largest singular value {smax:.3e} exceeds 1")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-
-    @cached_property
-    def unitary_flag(self) -> bool:
-        m = self.entries
-        return bool(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max() <= ATOL)
 
     @property
     def arity(self) -> int:
@@ -128,7 +113,7 @@ class GateOpMatrix:
 
 def init_basis(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>, e.g. init_basis(2, "10")."""
-    if n_qubits < 1:
+    if _as_index(n_qubits, "qubit count") < 1:
         raise ConfigError(f"need at least one qubit, got {n_qubits}")
     if len(bits) != n_qubits:
         raise ConfigError(f"bitstring {bits!r} length != {n_qubits} qubits")
@@ -141,8 +126,8 @@ def init_basis(n_qubits: int, bits: str) -> StateVector:
 
 def _trusted(stack: np.ndarray) -> list[GateOpMatrix]:
     """Wrap each matrix of a complex (S, d, d) stack, d = 2 or 4, without the
-    checks: for products of checked gates and unitaries, which are finite
-    with singular values <= 1."""
+    checks: for unitaries built as such and products of checked gates and
+    unitaries, which are finite with singular values <= 1."""
     stack.flags.writeable = False
     gates = []
     for m in stack:

@@ -38,6 +38,14 @@ class PlateOp:
             raise ConfigError(f"wave-plate angle must be finite, got {self.angle_deg}")
 
 
+def _pair(item, what: str) -> tuple:
+    try:
+        first, second = item
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a pair, got {item!r}") from None
+    return first, second
+
+
 @dataclass(frozen=True)
 class TimelineStep:
     """One recycling round: wave plates per memory, then CP pairs."""
@@ -46,8 +54,10 @@ class TimelineStep:
     cp_pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        pmu = tuple((_as_index(q, "pmu index"), plate) for q, plate in self.pmu_ops)
-        cps = tuple((_as_index(a, "cp index"), _as_index(b, "cp index")) for a, b in self.cp_pairs)
+        pmu = tuple((_as_index(q, "pmu index"), plate)
+                    for q, plate in (_pair(op, "pmu op") for op in self.pmu_ops))
+        cps = tuple((_as_index(a, "cp index"), _as_index(b, "cp index"))
+                    for a, b in (_pair(pair, "cp pair") for pair in self.cp_pairs))
         object.__setattr__(self, "pmu_ops", pmu)
         object.__setattr__(self, "cp_pairs", cps)
 
@@ -106,7 +116,7 @@ def max_depth(eta: float, p: float, n_qubits: int = 1) -> int | None:
         raise ConfigError(f"eta must be in (0,1], got {eta}")
     if not 0.0 < p < 1.0:
         raise ConfigError(f"threshold must be in (0,1), got {p}")
-    if n_qubits < 1:
+    if _as_index(n_qubits, "qubit count") < 1:
         raise ConfigError(f"need at least one qubit, got {n_qubits}")
     if eta == 1.0:
         return None

@@ -15,6 +15,9 @@ RETIRED = (
     "fit_pair_frequency",
     "haar_avg_gate_fidelity",
     "jones_matrix",
+    "pair_propagator",
+    "scheme2_leakage",
+    "scheme2_pair_return",
     "success_probability",
 )
 

@@ -587,6 +587,77 @@ def test_non_finite_file_numbers_are_parse_errors(tmp_path, capsys, command, nam
     assert err.startswith(f"error: {where}: angle must be finite")
 
 
+# Every numeric flag of every subcommand at the edges of the float range.
+# An int flag parses only "0" of these, so sizes stay as small as the base.
+EXTREMES = ("0", "-0.0", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan")
+EXTREME_FILES = {
+    "{qc}": ("x.qc", "qubits 2\nh 0\ncnot 0 1\nqwp 1 30\ncp 1 0\n"),
+    "{qtl}": ("x.qtl", "qms 2\npos 1 10\nstep:\npmu 0 qwp 30\ncp 0 1\nstep:\ncp 1 0\n"),
+}
+_SCHEME_FLAGS = ("--eta", "--area-pi", "--b-over-omega", "--area-errors=1,{},1")
+_BLOCKADE_FLAGS = ("--rabi-mhz", "--blockade=c6:{}", "--blockade=hard:{}")
+_MODELS = ("ideal", "scheme1", "scheme2")
+EXTREME_CASES = [  # (base argv, flags); a flag without "{}" takes "=value"
+    (("cnot-sweep", "--steps=3"), ("--eta-min", "--eta-max", "--steps", "--samples", "--seed")),
+    *[(("ghz", "--n=4", "--eta=0.9", f"--method={method}", f"--topology={topology}"),
+       ("--n", "--eta"))
+      for method, topology in (("dense", "star"), ("transfer", "star"), ("transfer", "chain"))],
+    *[(("pulse", f"--scheme={scheme}", f"--blockade={blockade}"),
+       _SCHEME_FLAGS + _BLOCKADE_FLAGS + ("--distance-um", "--samples", "--seed"))
+      for scheme in "12" for blockade in ("perfect", "c6:100")],
+    *[(("run", "{qc}", f"--cp-model={model}"), _SCHEME_FLAGS) for model in _MODELS],
+    *[(("timeline", "{qtl}", f"--cp-model={model}"),
+       _SCHEME_FLAGS + _BLOCKADE_FLAGS + ("--threshold",))
+      for model in _MODELS],
+    *[(("micro", "write-write-pi-read-read", "--atoms=3", f"--blockade={blockade}"),
+       _BLOCKADE_FLAGS + ("--atoms", "--sigma-um", "--seed", "--eta", "--kvec={},0,0"))
+      for blockade in ("perfect", "c6:100")],
+]
+
+
+def _parses(out: str) -> bool:
+    lines = out.splitlines()
+    if len(lines) == 1:
+        return isinstance(json.loads(lines[0]), dict)
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return bool(rows) and all(len(row) == len(header) for row in rows) and all(
+        math.isfinite(float(cell)) for row in rows for cell in row
+    )
+
+
+@pytest.mark.parametrize(
+    "base, flag",
+    [(base, flag) for base, flags in EXTREME_CASES for flag in flags],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+)
+def test_extreme_numbers_exit_cleanly(tmp_path, capsys, base, flag):
+    files = {}
+    for key, (name, text) in EXTREME_FILES.items():
+        files[key] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
+    bad = []
+    for value in EXTREMES:
+        arg = flag.format(value) if "{}" in flag else f"{flag}={value}"
+        argv = [files.get(a, a) for a in base] + [arg]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+        except Exception as exc:  # a traceback: the failure this test looks for
+            code = repr(exc)
+        out, err = capsys.readouterr()
+        if code == 0:
+            ok = _parses(out)
+        elif code in (3, 4):
+            ok = out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        else:
+            ok = code == 2
+        if not ok:
+            bad.append((arg, code, err[-200:]))
+    assert bad == []
+
+
 @pytest.mark.parametrize(
     "exc",
     [

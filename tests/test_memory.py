@@ -71,6 +71,21 @@ def test_gaussian_cloud_is_seeded():
         gaussian_cloud(3, 1.0, seed=-1)
 
 
+def test_gaussian_cloud_counts_and_signed_zero():
+    with pytest.raises(ConfigError, match=r"^atom count must be an integer, got 2\.5$"):
+        gaussian_cloud(2.5, 1.0)
+    np.testing.assert_array_equal(gaussian_cloud(np.int64(4), 1.5, 3), gaussian_cloud(4, 1.5, 3))
+    # -0.0 is the zero-width cloud, not numpy's "scale < 0"
+    np.testing.assert_array_equal(gaussian_cloud(3, -0.0, 1), np.zeros((3, 3)))
+
+
+def test_collective_state_atom_indices_must_be_integral():
+    with pytest.raises(ConfigError, match=r"^atom index must be an integer, got 0\.5$"):
+        CollectiveState({((0.5, "g2"),): 1.0})
+    state = CollectiveState({((np.int64(2), "r"),): 1.0})
+    assert list(state.amplitudes) == [((2, "r"),)]
+
+
 def test_collective_state_validation():
     with pytest.raises(MemoryCapacityError):
         CollectiveState({((0, "g2"), (1, "g2"), (2, "g2")): 1.0})

@@ -11,21 +11,50 @@ from paqsim import (
     Perfect,
     PowerLaw,
     PulseSpec,
-    pair_propagator,
     pair_propagators,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
-    scheme2_leakage,
-    scheme2_pair_return,
     two_level_propagator,
 )
 
 SQRT2 = math.sqrt(2.0)
 
 
+def one_pair(area, shift, detuning=0.0, phase=0.0):
+    """The propagator of one (shift, detuning), from a one-element stack."""
+    return pair_propagators(area, [shift], detuning, phase)[0]
+
+
 def test_pulse_spec_rejects_negative_area():
     with pytest.raises(ConfigError):
         PulseSpec(-0.1)
+
+
+def test_one_area_check_for_both_kernels():
+    for call in (lambda: PulseSpec(math.inf), lambda: pair_propagators(math.inf, [1.0], 0.0)):
+        with pytest.raises(ConfigError, match="^pulse area must be finite and >= 0, got inf$"):
+            call()
+
+
+@pytest.mark.parametrize(
+    "pulse, g2_return",
+    [
+        (PulseSpec(2 * math.pi, 1e300), 1.0),  # a huge detuning leaves g2 alone
+        (PulseSpec(1e-300, 1e300), 1.0),
+        (PulseSpec(1e300), math.cos(0.5e300)),  # the squares overflow, the norm does not
+    ],
+)
+def test_propagator_past_the_float_range(pulse, g2_return):
+    u = two_level_propagator(pulse).entries
+    assert np.isfinite(u).all()
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+    assert abs(u[0, 0] - g2_return) < 1e-12
+
+
+def test_power_law_past_the_float_range():
+    # r**6 underflows to a perfect blockade and overflows to none
+    shifts = PowerLaw(100.0).shift_over_rabi([1e-300, 1e300, 2.0])
+    np.testing.assert_array_equal(shifts, [math.inf, 0.0, 100.0 / 2.0**6])
 
 
 def test_resonant_pi_pulse():
@@ -110,7 +139,7 @@ def test_blockade_model_validation():
         lambda: HardSphere(40.0).shift_over_rabi(math.nan),
         lambda: HardSphere(40.0).shift_over_rabi(math.inf),
         lambda: PowerLaw(1e6).shift_over_rabi(math.nan),
-        lambda: pair_propagator(math.nan, 1.0),
+        lambda: one_pair(math.nan, 1.0),
         lambda: scheme1_cp_matrix(1.0, math.nan),
         lambda: scheme1_cp_matrix(1.0, math.inf, (math.nan, 1.0, 1.0)),
         lambda: scheme2_cp_matrix(1.0, math.nan),
@@ -118,9 +147,9 @@ def test_blockade_model_validation():
         lambda: PulseSpec(math.pi, math.nan),
         lambda: PulseSpec(math.pi, 0.0, math.nan),
         lambda: PulseSpec(math.pi, 0.0, math.inf),
-        lambda: pair_propagator(math.pi, math.nan),
-        lambda: pair_propagator(math.pi, 1.0, math.nan),
-        lambda: pair_propagator(math.pi, math.inf, 0.0, -math.inf),
+        lambda: one_pair(math.pi, math.nan),
+        lambda: one_pair(math.pi, 1.0, math.nan),
+        lambda: one_pair(math.pi, math.inf, 0.0, -math.inf),
         lambda: HardSphere(40.0).shift_over_rabi(-5.0),
         lambda: PowerLaw(1e6).shift_over_rabi(-1e-9),
         lambda: pair_propagators(math.pi, [1.0, math.nan], 0.0),
@@ -144,14 +173,14 @@ def test_infinity_keeps_its_meaning():
     np.testing.assert_array_equal(
         two_level_propagator(PulseSpec(math.pi, math.inf)).entries, np.eye(2)
     )
-    np.testing.assert_array_equal(pair_propagator(math.pi, math.inf, math.inf), np.eye(3))
+    np.testing.assert_array_equal(one_pair(math.pi, math.inf, math.inf), np.eye(3))
     # with a finite pair shift too, in either sign, and through pair_propagators
     for shift in (0.0, 5.0, 1e9):
         for det in (math.inf, -math.inf):
-            np.testing.assert_array_equal(pair_propagator(1.0, shift, det, 0.3), np.eye(3))
+            np.testing.assert_array_equal(one_pair(1.0, shift, det, 0.3), np.eye(3))
     stack = pair_propagators(1.0, [0.0, 5.0, math.inf, 5.0], [math.inf, -math.inf, math.inf, 0.2])
     np.testing.assert_array_equal(stack[:3], np.broadcast_to(np.eye(3), (3, 3, 3)))
-    np.testing.assert_array_equal(stack[3], pair_propagator(1.0, 5.0, 0.2))
+    np.testing.assert_array_equal(stack[3], one_pair(1.0, 5.0, 0.2))
     np.testing.assert_allclose(
         scheme1_cp_matrix(1.0, math.inf).entries, np.diag([1, -1, -1, -1]), atol=1e-15
     )
@@ -196,7 +225,7 @@ def test_pair_propagators_match_the_scalar_calls_bit_for_bit():
             stack[k], _dict_memory.pair_propagator(2.7, shifts[k], dets[k], 0.4)
         )
         np.testing.assert_array_equal(
-            pair_propagator(2.7, shifts[k], dets[k], 0.4), stack[k]
+            one_pair(2.7, shifts[k], dets[k], 0.4), stack[k]
         )
     # an infinite shift embeds the two-level propagator at sqrt(2) times the
     # area; an infinite detuning is no drive, whatever the shift
@@ -209,7 +238,7 @@ def test_pair_propagators_match_the_scalar_calls_bit_for_bit():
             pulse = PulseSpec(SQRT2 * 2.7, det / SQRT2, 0.4)
             expect[:2, :2] = two_level_propagator(pulse).entries
         np.testing.assert_array_equal(stack[k], expect)
-        np.testing.assert_array_equal(pair_propagator(2.7, shift, det, 0.4), expect)
+        np.testing.assert_array_equal(one_pair(2.7, shift, det, 0.4), expect)
     assert pair_propagators(1.0, [], 0.0).shape == (0, 3, 3)
 
 
@@ -219,9 +248,9 @@ def test_pair_propagator_unitary_and_blocked_limit():
         theta = rng.uniform(0.1, 20.0)
         shift = rng.uniform(0.0, 50.0)
         det = rng.uniform(-3.0, 3.0)
-        u = pair_propagator(theta, shift, det, rng.uniform(0, 2 * math.pi))
+        u = one_pair(theta, shift, det, rng.uniform(0, 2 * math.pi))
         assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-12
-    u = pair_propagator(1.3, math.inf)
+    u = one_pair(1.3, math.inf)
     assert abs(u[2, 2] - 1.0) < 1e-15  # rr frozen
     assert abs(u[0, 0] - math.cos(SQRT2 * 1.3 / 2)) < 1e-12
 
@@ -230,10 +259,10 @@ def test_pair_propagator_converges_to_sqrt2_reduction():
     # finite-blockade 3-level ladder vs the blocked 2-level limit; the
     # leading correction to the closed block shrinks like theta/B
     theta = 10 * math.pi
-    u_inf = pair_propagator(theta, math.inf)[:2, :2]
+    u_inf = one_pair(theta, math.inf)[:2, :2]
 
     def dev(b):
-        return np.abs(pair_propagator(theta, b)[:2, :2] - u_inf).max()
+        return np.abs(one_pair(theta, b)[:2, :2] - u_inf).max()
 
     d500, d1000, d4000 = dev(500.0), dev(1000.0), dev(4000.0)
     assert d4000 < d1000 < d500
@@ -294,7 +323,7 @@ def test_scheme2_numbers_at_ten_pi():
     pair = m[3, 3]
     assert abs(pair - math.cos(5 * SQRT2 * math.pi)) < 1e-12
     assert abs(pair + 0.97517) < 1e-5
-    leak = scheme2_leakage(10 * math.pi)
+    leak = 1.0 - abs(pair) ** 2  # as `pulse` reports it
     assert abs(leak - (1 - math.cos(5 * SQRT2 * math.pi) ** 2)) < 1e-12
 
 
@@ -306,7 +335,7 @@ def test_scheme2_without_blockade_fails():
 def test_scheme2_ideal_area_gives_exact_cp():
     # sqrt(2)*theta/2 an odd multiple of pi closes the pair loop on -1
     theta = SQRT2 * math.pi
-    assert abs(scheme2_pair_return(theta) + 1.0) < 1e-12
+    assert abs(scheme2_cp_matrix(1.0, theta).entries[3, 3] + 1.0) < 1e-12
 
 
 def test_scheme2_loss_scaling():
@@ -331,7 +360,7 @@ def test_fitted_pair_frequency():
 def fit_by_propagators(b_over_rabi, n_samples):
     """The fit from one pair propagator per sample, as it was first written."""
     xs = np.linspace(0.0, 1.5 * math.pi / SQRT2, n_samples)
-    pop = np.array([abs(pair_propagator(x, b_over_rabi)[0, 0]) ** 2 for x in xs])
+    pop = np.array([abs(one_pair(x, b_over_rabi)[0, 0]) ** 2 for x in xs])
     i = int(np.argmin(pop))
     y0, y1, y2 = pop[i - 1], pop[i], pop[i + 1]
     denom = y0 - 2.0 * y1 + y2

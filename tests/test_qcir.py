@@ -1,14 +1,11 @@
 """Tests for the .qc / .qtl text formats: parsing, errors, round-trips."""
 
-import numpy as np
 import pytest
 
 import _corpus
 from paqsim import (
     CircuitIR,
     CircuitOp,
-    ConfigError,
-    GateOpMatrix,
     ParseError,
     parse_circuit,
     parse_timeline,
@@ -131,13 +128,6 @@ def test_circuit_round_trip_preserves_float_angles():
         ),
     )
     assert parse_circuit(serialize_circuit(circuit)) == circuit
-
-
-def test_serialize_rejects_custom_ops():
-    gate = GateOpMatrix(np.eye(2, dtype=complex))
-    circuit = CircuitIR(1, (CircuitOp("custom", (0,), matrix=gate),))
-    with pytest.raises(ConfigError):
-        serialize_circuit(circuit)
 
 
 # ----------------------------------------------------------------- timelines

@@ -70,6 +70,21 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: evolve(StateVector(2.0, np.zeros(4)), []), lambda: init_basis(2.0, "00")],
+    ids=["StateVector", "init_basis"],
+)
+def test_qubit_counts_must_be_integral(call):
+    with pytest.raises(ConfigError, match=r"^qubit count must be an integer, got 2\.0$"):
+        call()
+
+
+def test_numpy_qubit_counts_pass():
+    for state in (StateVector(np.int64(2), np.zeros(4)), init_basis(np.uint8(2), "01")):
+        assert state.n_qubits == 2 and state.amplitudes.shape == (4,)
+
+
 def test_state_vector_is_immutable():
     s = init_basis(1, "0")
     with pytest.raises(ValueError):
@@ -82,12 +97,6 @@ def test_gate_matrix_validation():
     # amplifying branch is unphysical
     with pytest.raises(ConfigError):
         GateOpMatrix(2.0 * np.eye(2))
-
-
-def test_unitary_flag():
-    assert GateOpMatrix(np.eye(4)).unitary_flag
-    assert not GateOpMatrix(np.diag([1.0, 0.5])).unitary_flag
-    assert "unitary_flag" not in vars(GateOpMatrix(np.eye(2)))  # computed on first read
     assert GateOpMatrix(np.eye(2)).arity == 1
     assert GateOpMatrix(np.eye(4)).arity == 2
 
@@ -362,7 +371,7 @@ def test_gate_matrix_rejects_non_finite_entries(bad):
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-3e-9, 3e-9), st.sampled_from([2, 4]))
 def test_norm_cap_matches_the_svd(seed, excess, d):
-    # the closed-form 2x2 singular value decides exactly as the SVD would
+    # the cap on np.linalg.norm(m, 2) decides as the SVD would, for 2x2 and 4x4
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     if seed % 2:

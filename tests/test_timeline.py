@@ -42,6 +42,12 @@ def test_max_depth_examples():
     assert max_depth(0.5, 0.5) == 1
 
 
+def test_max_depth_qubit_count_must_be_integral():
+    with pytest.raises(ConfigError, match=r"^qubit count must be an integer, got 1\.5$"):
+        max_depth(0.9, 0.1, n_qubits=1.5)
+    assert max_depth(0.9, 0.1, n_qubits=np.int64(2)) == 10
+
+
 def test_max_depth_exact_integer_boundary():
     # log(0.25)/log(0.5) is exactly 2; float dust must not shave it to 1
     assert max_depth(0.5, 0.25) == 2
@@ -150,6 +156,15 @@ def test_indices_must_be_integral():
         run_timeline(
             TimelineProgram(2, POS2, (TimelineStep(((0.5, PlateOp("hwp", 1.0)),)),)), 0.9
         )
+
+
+def test_step_entries_must_be_pairs():
+    with pytest.raises(ConfigError, match=r"^pmu op must be a pair, got \(0,\)$"):
+        TimelineStep(pmu_ops=((0,),))
+    with pytest.raises(ConfigError, match=r"^cp pair must be a pair, got \(0, 1, 2\)$"):
+        TimelineStep(cp_pairs=((0, 1, 2),))
+    with pytest.raises(ConfigError, match="^cp pair must be a pair, got 3$"):
+        TimelineStep(cp_pairs=(3,))
 
 
 def test_numpy_indices_keep_the_bits():
