@@ -209,6 +209,8 @@ def _cmd_ghz(args) -> int:
 
 def _cmd_pulse(args) -> int:
     _echo_flags(args)
+    if not math.isfinite(args.area_pi):  # scheme 1 only echoes it
+        raise ConfigError(f"--area-pi must be finite, got {args.area_pi}")
     blockade = _parse_blockade(args.blockade, args.rabi_mhz)
     if args.b_over_omega is not None:
         b_over = args.b_over_omega

@@ -152,9 +152,36 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _lengths(v: np.ndarray) -> np.ndarray:
-    """Row norms of an (n, 3) array, rounded as `np.linalg.norm(row)` is."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+# below this, no coordinate difference reaches 2^511, and three squares
+# below 2^1022 cannot overflow
+_SQUARE_SAFE = 2.0**510
+
+
+def _refuse_overflow(d: np.ndarray, square_sums) -> None:
+    """Refuse separations `d` whose squared length overflows, before it is
+    formed: scaled by 2^-512, the caller's own `square_sums` rounds alike
+    and reaches 1.0 exactly where it would overflow."""
+    if (square_sums(d * 2.0**-512) >= 1.0).any():
+        raise ConfigError("atom separation too large: its square overflows")
+
+
+def _row_squares(v: np.ndarray) -> np.ndarray:
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _lengths(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances |pos[i] - pos[j]| of (n, 3) positions, rounded as
+    `np.linalg.norm(row)` is."""
+    v = pos[i] - pos[j]
+    if np.abs(pos).max() >= _SQUARE_SAFE:
+        _refuse_overflow(v, _row_squares)
+    return np.sqrt(_row_squares(v))
+
+
+def _square_sums(d: np.ndarray) -> np.ndarray:
+    """d[0]^2 + d[1]^2 + d[2]^2, squaring d in place."""
+    d *= d
+    return d[0] + d[1] + d[2]
 
 
 def _pick(values: np.ndarray, which: np.ndarray | None) -> np.ndarray:
@@ -387,11 +414,13 @@ def _farthest_external(
         return np.zeros(ensemble.n_atoms)
     far = np.empty(ensemble.n_atoms)
     ext, own = external.positions.T[:, None, :], ensemble.positions.T[:, :, None]
+    huge = max(np.abs(ext).max(), np.abs(own).max()) >= _SQUARE_SAFE
     rows = max(1, FAR_BLOCK // external.n_atoms)
     for lo in range(0, len(far), rows):  # blocks bound the temporaries
         d = ext - own[:, lo : lo + rows]  # (3, rows, external atoms)
-        d *= d
-        far[lo : lo + rows] = (d[0] + d[1] + d[2]).max(axis=1)
+        if huge:
+            _refuse_overflow(d, _square_sums)
+        far[lo : lo + rows] = _square_sums(d).max(axis=1)
     return np.sqrt(far)
 
 
@@ -432,9 +461,8 @@ def apply_collective_pulse(
         live = np.isfinite(det2)  # an infinite detuning leaves a block alone
         sel = slice(None) if live.all() else live
         x = pair[sel]
-        pos = ensemble.positions
         key = np.empty(len(x), dtype=complex)  # (shift, detuning) per block
-        key.real = blockade.shift_over_rabi(_lengths(pos[i[sel]] - pos[j[sel]]))
+        key.real = blockade.shift_over_rabi(_lengths(ensemble.positions, i[sel], j[sel]))
         key.imag = det2[sel]
         keys, which = np.unique(key, return_inverse=True)
         if len(keys) == len(key):  # no two blocks share a propagator: keep block order

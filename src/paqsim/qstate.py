@@ -12,10 +12,19 @@ A GateOpMatrix is checked once, by its 2-norm; unitaries by construction
 (plates, pulse propagators, the CNOT sandwich) skip it via `_trusted`.
 
 `evolve` applies a whole op list on two private buffers and wraps the
-last one in a StateVector once. Between ops it keeps the qubits in an
-axis order of its own (`order[a]` is the qubit stored along axis a), and
-one transpose at the end restores the basis order. Each op makes at most
-one copy, along one of two paths:
+result in a StateVector once. It works on the support of its input: a
+qubit on which every nonzero amplitude agrees (every qubit of an
+init_basis state, which evolve knows without reading it) stays out of the
+buffers until an op touches it. Then the buffers grow by two: the old
+values go in the half of the qubit's value, zeros in the other, and the
+new axis goes just after the largest buffered qubit below it, so the
+qubits of a GHZ cascade stay in ascending runs. A state whose first and
+last amplitudes are both nonzero has no such qubit and costs no scan.
+Between ops `evolve` keeps the buffered qubits in an axis order of its
+own (`order[a]` is the qubit stored along axis a); one transposed copy
+at the end writes them, in basis order, into the fixed-index view of a
+zeroed 2^n array (or into the spare buffer if no qubit stayed out). Each
+op makes at most one copy besides its growth, along one of two paths:
 
 - strided: a 2x2 gate, or a 4x4 that never flips its control (every CP
   model and every CNOT here), is one np.matmul per control value on a
@@ -33,11 +42,22 @@ does not depend on the path. The tracked order adds one assumption: zgemm
 gives a column the same bits wherever it sits among the (2^k, rest)
 columns, so the order of the other axes does not matter either. Both are
 measured, not proven, and only on OpenBLAS (0.3.31): the tests check
-them bit for bit over random op sequences up to 14 qubits. On OpenBLAS
-these change the bits: in-place complex `*=` for diagonal gates, einsum,
-an F-ordered `out=`, and strided matmul over too few trailing amplitudes
-(2 do; 4 and 8 did not in 600 random circuits; STRIDED_MIN = 16 keeps a
-margin).
+them bit for bit over random op sequences up to 14 qubits, and up to 16
+from partly basis inputs. On OpenBLAS these change the bits: in-place
+complex `*=` for diagonal gates, einsum, an F-ordered `out=`, and
+strided matmul over too few trailing amplitudes (2 do; 4 and 8 did not
+in 600 random circuits; STRIDED_MIN = 16 keeps a margin).
+
+The floor: the buffers never hold fewer than 2^LIVE_FLOOR = 64 amplitudes,
+and a state of at most 64 is evolved whole; the fixed qubits the op list
+touches first fill the buffers up to it. On smaller buffers OpenBLAS
+picks other kernels and the bits move. Over random basis-input circuits
+(n 2-16; plates, H, P, X90, and CP and CNOT from all three CP models) a
+floor of 1, 4 or 8 amplitudes differed from the full-buffer bits on 122,
+130 and 89 of 400; floors of 16 and 64 matched on all 400, and 64 on
+1,500 more. Taking the floor qubits from the last qubits instead of the
+first-touched ones makes later growth costly (GHZ n = 22: 0.49 s against
+0.23 s).
 """
 
 from __future__ import annotations
@@ -57,6 +77,7 @@ STRIDED_STACKS = 64  # up to this many stacked matmuls, strided beats a gather
 # trailing amplitudes from which strided wins at any stack count; it only
 # matters from 2^15 amplitudes on, where a gather's copy leaves the L2 cache
 STRIDED_BLOCK = 128
+LIVE_FLOOR = 6  # the evolved buffers hold at least 2^LIVE_FLOOR amplitudes (module docstring)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +140,12 @@ def init_basis(n_qubits: int, bits: str) -> StateVector:
         raise ConfigError(f"bitstring {bits!r} length != {n_qubits} qubits")
     if any(b not in "01" for b in bits):
         raise ConfigError(f"bitstring {bits!r} must contain only 0/1")
+    index = int(bits, 2)
     amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return _frozen(n_qubits, amps)
+    amps[index] = 1.0
+    state = _frozen(n_qubits, amps)
+    object.__setattr__(state, "_basis_index", index)  # evolve need not scan it
+    return state
 
 
 def _trusted(stack: np.ndarray) -> list[GateOpMatrix]:
@@ -155,11 +179,15 @@ def _as_index(value, what: str) -> int:
 
 
 def _targets(gate: GateOpMatrix, targets, n: int) -> tuple[int, ...]:
-    targets = tuple([_as_index(q, "target") for q in targets])
+    targets = tuple(targets)
+    try:
+        targets = tuple(map(operator.index, targets))
+    except TypeError:  # name the target that is not an integer
+        targets = tuple([_as_index(q, "target") for q in targets])
     k = gate.arity
     if len(targets) != k:
         raise ConfigError(f"gate arity {k} but {len(targets)} targets given")
-    if len(set(targets)) != k:
+    if k == 2 and targets[0] == targets[1]:
         raise ConfigError(f"duplicate targets {list(targets)}")
     for q in targets:
         if not 0 <= q < n:
@@ -180,6 +208,29 @@ def _gather(src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:
     np.copyto(dst.reshape((2, 2) + shape[::2]), src.reshape(shape).transpose(front + (0, 2, 4)))
 
 
+def _fixed_qubits(state: StateVector) -> dict[int, int]:
+    """{qubit: value} for the qubits on which every nonzero amplitude agrees;
+    empty for a state whose first and last amplitudes are both nonzero, or
+    one with no nonzero amplitude. An init_basis state carries its index,
+    so its amplitudes are not read."""
+    n, amps = state.n_qubits, state.amplitudes
+    lo = hi = getattr(state, "_basis_index", None)
+    if lo is None:
+        if amps[0] != 0 and amps[-1] != 0:
+            return {}
+        nonzero = np.flatnonzero(amps)
+        if not nonzero.size:
+            return {}
+        lo, hi = int(np.bitwise_and.reduce(nonzero)), int(np.bitwise_or.reduce(nonzero))
+    return {q: lo >> (n - 1 - q) & 1 for q in range(n) if not (lo ^ hi) >> (n - 1 - q) & 1}
+
+
+def _fixed_view(amps: np.ndarray, n: int, fixed: dict[int, int]) -> np.ndarray:
+    """The amplitudes with each fixed qubit at its value: a view whose axes
+    are the other qubits in ascending order."""
+    return amps.reshape((2,) * n)[tuple(fixed.get(q, slice(None)) for q in range(n))]
+
+
 def evolve(
     state: StateVector, ops: Iterable[tuple[GateOpMatrix, Sequence[int]]]
 ) -> StateVector:
@@ -190,15 +241,36 @@ def evolve(
     renormalizes.
     """
     n = state.n_qubits
-    cur = state.amplitudes.copy()
+    ops = [(gate, _targets(gate, targets, n)) for gate, targets in ops]
+    # {qubit: value} kept out of the buffers. A state within the floor is
+    # evolved whole, and with no op the input is copied as it is, -0.0
+    # amplitudes included.
+    fixed = _fixed_qubits(state) if ops and n > LIVE_FLOOR else {}
+    order = basis = list(range(n))  # order[a]: the qubit stored along axis a
+    if fixed:  # the floor: the fixed qubits the ops touch first join the buffers
+        first = dict.fromkeys([q for _, targets in ops for q in targets if q in fixed] + [*fixed])
+        for q in list(first)[: max(0, LIVE_FLOOR - (n - len(fixed)))]:
+            del fixed[q]
+        order = [q for q in basis if q not in fixed]
+        cur = _fixed_view(state.amplitudes, n, fixed).copy().reshape(-1)
+    else:  # a dense input, or one within the floor
+        cur = state.amplitudes.copy()
     spare = np.empty_like(cur)
-    basis = list(range(n))
-    order = basis  # order[a] is the qubit stored along axis a
     for gate, targets in ops:
-        targets = _targets(gate, targets, n)
+        if fixed:
+            for q in targets:
+                if q in fixed:  # grow: the old values go in half fixed[q]
+                    spare = None
+                    lower = [r for r in order if r < q]  # q goes just after the largest of these
+                    at = order.index(max(lower)) + 1 if lower else 0
+                    grown = np.zeros(2 * cur.size, dtype=complex)
+                    half = grown.reshape(1 << at, 2, -1)[:, fixed.pop(q)]
+                    np.copyto(half, cur.reshape(1 << at, -1))
+                    cur, spare = grown, np.empty_like(grown)
+                    order.insert(at, q)
         axes = [order.index(q) for q in targets]
         m = gate.entries
-        below = 1 << (n - 1 - max(axes))
+        below = cur.size >> (max(axes) + 1)
         stacks = cur.size // (2 * below)
         if below >= STRIDED_MIN and (stacks <= STRIDED_STACKS or below >= STRIDED_BLOCK):
             if len(axes) == 1:
@@ -225,9 +297,14 @@ def evolve(
             order = list(targets) + [q for q in order if q not in targets]
         np.dot(m, cur.reshape(1 << k, -1), out=spare.reshape(1 << k, -1))
         cur, spare = spare, cur
-    if order != basis:
-        shape = (2,) * n
-        back = sorted(basis, key=order.__getitem__)  # the axis holding each qubit
-        np.copyto(spare.reshape(shape), cur.reshape(shape).transpose(back))
-        cur = spare
+    if fixed or order != basis:  # one copy into basis order
+        shape = (2,) * len(order)
+        back = sorted(range(len(order)), key=order.__getitem__)  # the axis holding each qubit
+        if fixed:  # around the qubits no op touched
+            out = np.zeros(1 << n, dtype=complex)
+            np.copyto(_fixed_view(out, n, fixed), cur.reshape(shape).transpose(back))
+        else:
+            out = spare
+            np.copyto(out.reshape(shape), cur.reshape(shape).transpose(back))
+        cur = out
     return _frozen(n, cur)

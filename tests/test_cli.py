@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output formats, anchors, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -380,6 +381,61 @@ def test_amplitudes_json_keeps_the_old_selection():
     assert new["010"] == [0.5, -0.0] and math.copysign(1.0, new["010"][1]) == -1.0
 
 
+# Dense engine output, pinned byte for byte: evolve keeps the qubits still in
+# their input value out of its buffers, and the text must not move.
+PINNED_GHZ = [
+    (("6", "0.9", "star"), '{"n": 6, "eta": 0.9, "topology": "star", "fidelity": '
+     '0.9797407225858307, "efficiency": 0.6153454216421861, "method": "dense"}\n'),
+    (("9", "0.71", "chain"), '{"n": 9, "eta": 0.71, "topology": "chain", "fidelity": '
+     '0.7111785169998183, "efficiency": 0.14897417112255223, "method": "dense"}\n'),
+    (("11", "0.55", "chain"), '{"n": 11, "eta": 0.55, "topology": "chain", "fidelity": '
+     '0.5087080812189955, "efficiency": 0.03408701866950316, "method": "dense"}\n'),
+    (("12", "0.8", "star"), '{"n": 12, "eta": 0.8, "topology": "star", "fidelity": '
+     '0.7440838641186668, "efficiency": 0.17038336051844571, "method": "dense"}\n'),
+    (("12", "0.8", "chain"), '{"n": 12, "eta": 0.8, "topology": "chain", "fidelity": '
+     '0.7519447679496998, "efficiency": 0.16860215627508654, "method": "dense"}\n'),
+]
+
+
+@pytest.mark.parametrize("flags, want", PINNED_GHZ, ids=[" ".join(f) for f, _ in PINNED_GHZ])
+def test_dense_ghz_stdout_is_pinned(capsys, flags, want):
+    n, eta, topology = flags
+    argv = ("ghz", "--n", n, "--eta", eta, "--topology", topology, "--method", "dense")
+    assert cli(capsys, *argv) == (0, want, "")
+
+
+PINNED_CIRCUITS = {
+    "r10.qc": "qubits 10\nh 2\np 5\nx90 7\nqwp 2 30\nhwp 5 22.5\ncp 2 5\ncnot 7 2\ncp 5 9\n",
+    "r14.qc": "qubits 14\nh 0\nqwp 3 17\ncnot 0 3\nhwp 6 40\nx90 9\ncp 9 6\np 12\n"
+              "cnot 3 12\nh 13\ncp 13 0\nqwp 9 71\ncnot 6 13\n",
+}
+# (circuit, --input, flags, SHA-256 of stdout)
+PINNED_RUNS = [
+    ("r10.qc", "0110010110", ("--cp-model", "ideal", "--eta", "0.85"),
+     "98f02680d6ee58101fb6cfda75e29d00a67fa2f619e86649db12c46fb41b77f5"),
+    ("r10.qc", "1111111111", ("--cp-model", "scheme1", "--b-over-omega", "3", "--eta", "0.9"),
+     "587e3b076f6f1eda3935a4523b3f0cc7a2d73a5d6cb3988017a8812e68d10c87"),
+    ("r10.qc", "0000000001", ("--cp-model", "scheme2", "--eta", "0.7"),
+     "8b93fae7541bdcc1899eac6f47eb95a733628e5bad51ec7cda06456646fdeceb"),
+    ("r14.qc", "10010010010011", ("--cp-model", "ideal", "--eta", "0.6"),
+     "20353532917142ef442fca5e75f52fc12eb0eacb9b5d0332749ae1b2aa1e13f9"),
+    ("r14.qc", "01101101101100", ("--cp-model", "scheme1", "--b-over-omega", "2.5"),
+     "5502cc39e69c9135f9ed56598700ea40f8761d5ea78ec4f3a53b99e0159563bc"),
+    ("r14.qc", "00000000000000", ("--cp-model", "scheme2", "--area-pi", "9.5", "--eta", "0.95"),
+     "e1b8ddf1eb628c0464a5f3e5ea72cc7ad0fc111eba94b5d98dcd44e256bfc47a"),
+]
+
+
+@pytest.mark.parametrize("name, bits, flags, digest", PINNED_RUNS,
+                         ids=[f"{name} {flags[1]}" for name, _, flags, _ in PINNED_RUNS])
+def test_run_stdout_is_pinned(tmp_path, capsys, name, bits, flags, digest):
+    path = tmp_path / name
+    path.write_text(PINNED_CIRCUITS[name])
+    code, out, err = cli(capsys, "run", str(path), "--input", bits, *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ------------------------------------------------------------------ timeline
 
 
@@ -527,6 +583,9 @@ def test_micro_second_photon_over_pair_cap(capsys):
 NON_FINITE_ARGV = [
     ["pulse", "--scheme", "2", "--area-pi", "nan"],
     ["pulse", "--scheme", "2", "--area-pi", "inf"],
+    ["pulse", "--scheme", "1", "--area-pi", "nan"],
+    ["pulse", "--scheme", "1", "--area-pi", "inf"],
+    ["pulse", "--scheme", "1", "--area-pi=-inf"],
     ["pulse", "--scheme", "1", "--b-over-omega", "nan"],
     ["pulse", "--scheme", "2", "--b-over-omega", "nan"],
     ["pulse", "--scheme", "1", "--area-errors", "nan,1,1"],
@@ -647,8 +706,8 @@ def test_extreme_numbers_exit_cleanly(tmp_path, capsys, base, flag):
         except Exception as exc:  # a traceback: the failure this test looks for
             code = repr(exc)
         out, err = capsys.readouterr()
-        if code == 0:
-            ok = _parses(out)
+        if code == 0:  # strict JSON has no NaN or Infinity
+            ok = _parses(out) and "NaN" not in out and "Infinity" not in out
         elif code in (3, 4):
             ok = out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
         else:

@@ -597,3 +597,54 @@ def test_two_photon_read_keeps_the_dict_order():
         assert left.norm_sq() == sum(abs(left.amplitudes[c]) ** 2 for c in seq)
         assert left.rydberg_population() == sum(
             abs(left.amplitudes[c]) ** 2 for c in seq if c[0][1] == "r")
+
+
+NEAR_OVERFLOW = st.lists(st.tuples(*[st.floats(-2.0**513, 2.0**513, allow_nan=False)] * 3),
+                         min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(NEAR_OVERFLOW, NEAR_OVERFLOW, st.sampled_from([1.0, 0.5, 2.0**-200, 1.3e-154]))
+def test_separations_refuse_exactly_the_squares_that_overflow(own, ext, scale):
+    # coordinates around 2^511, where a squared separation crosses the float
+    # maximum: refused exactly when the unchecked arithmetic overflows
+    own, ext = np.array(own) * scale, np.array(ext) * scale
+    pos, i = np.vstack([own, ext[:1]]), np.arange(len(own))
+    v = own - ext[0]
+    with np.errstate(over="ignore"):
+        lengths = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        d = ext.T[:, None, :] - own.T[:, :, None]
+        far = np.sqrt((d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).max(axis=1))
+    calls = [
+        (lambda: paqsim.memory._lengths(pos, i, np.full_like(i, len(own))), lengths),
+        (lambda: paqsim.memory._farthest_external(EnsembleConfig(own, K_DEFAULT),
+                                                  EnsembleConfig(ext, K_DEFAULT)), far),
+    ]
+    for call, want in calls:
+        if np.isfinite(want).all():
+            assert call().tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ConfigError, match="^atom separation too large"):
+                call()
+
+
+def test_lengths_at_the_overflow_edge():
+    # each row's distance to the origin
+    lengths = lambda *rows: paqsim.memory._lengths(  # noqa: E731
+        np.array([*rows, [0.0, 0.0, 0.0]]), np.arange(len(rows)), np.full(len(rows), len(rows)))
+    edge = math.sqrt(np.finfo(float).max)  # its square is the float maximum
+    assert np.isfinite(lengths([edge, 0.0, 0.0], [2.0**511, 2.0**511, 2.0**511])).all()
+    for row in ([np.nextafter(edge, math.inf), 0.0, 0.0], [edge, 2.0**487, 0.0], [1e300, 0.0, 0.0]):
+        with pytest.raises(ConfigError, match="^atom separation too large"):
+            lengths(row)
+
+
+def test_scheme1_micro_refuses_ensembles_whose_separations_overflow():
+    near = make_ensemble(3, 1)
+    for x, refused in ((1e300, True), (1e153, False)):
+        far = EnsembleConfig(near.positions + [x, 0.0, 0.0], K_DEFAULT)
+        if refused:
+            with pytest.raises(ConfigError, match="^atom separation too large"):
+                scheme1_cp_micro(0.9, HardSphere(), near, far)
+        else:
+            scheme1_cp_micro(0.9, HardSphere(), near, far)

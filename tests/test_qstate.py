@@ -8,15 +8,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paqsim import (
+    HADAMARD,
+    PHASE,
+    X90,
     ConfigError,
     GateOpMatrix,
     StateVector,
+    cnot_from_cp,
+    cp_model_scheme1,
+    cp_model_scheme2,
     evolve,
     init_basis,
     lossy_cnot,
     cp_ideal_with_loss,
 )
-from paqsim.qstate import STRIDED_BLOCK, STRIDED_MIN, STRIDED_STACKS
+from paqsim.optics import plate_gates
+from paqsim.qstate import LIVE_FLOOR, STRIDED_BLOCK, STRIDED_MIN, STRIDED_STACKS
 
 from _oracles import apply_gate
 
@@ -350,6 +357,79 @@ def test_evolve_copies_at_most_once_per_op(monkeypatch):
     for gate, targets in ops:
         want = tensordot_reference(want, gate, targets, n)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def circuit_gate(data, rng):
+    """A plate, a fixed one-qubit gate, or a CP or CNOT of a random CP model."""
+    kind = data.draw(st.sampled_from(["plate", "fixed", "cp", "cnot", "4x4"]))
+    if kind == "plate":
+        kind = data.draw(st.sampled_from(["qwp", "hwp"]))
+        return plate_gates([(kind, rng.uniform(-180, 180))])[0]
+    if kind == "fixed":
+        return data.draw(st.sampled_from([HADAMARD, PHASE, X90]))
+    if kind == "4x4":
+        kind = data.draw(st.sampled_from(["diagonal", "control-block", "custom"]))
+        return gate_of_kind(kind, rng)
+    model = data.draw(st.sampled_from(["ideal", "scheme1", "scheme2"]))
+    eta = rng.uniform(0.05, 1.0)
+    if model == "ideal":
+        cp = cp_ideal_with_loss(eta)
+    elif model == "scheme1":
+        cp = cp_model_scheme1(rng.uniform(0.5, 20), tuple(rng.uniform(0.9, 1.1, 3)))(eta)
+    else:
+        cp = cp_model_scheme2(rng.uniform(1, 12) * math.pi, rng.uniform(0.5, 20))(eta)
+    return cp if kind == "cp" else cnot_from_cp(cp)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(1, 16), st.booleans(), st.data())
+def test_evolve_from_a_partly_basis_input_matches_tensordot(n, kron, data):
+    # the support path: the qubits still in their input value are kept out
+    # of the buffer until an op touches them, and the bytes do not change
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bits = "".join(data.draw(st.sampled_from(["0", "1"])) for _ in range(n))
+    state = init_basis(n, bits)
+    if kron:  # a random state on some qubits, the basis value on the others
+        free = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        amps = np.zeros((2,) * n, dtype=complex)
+        index = tuple(slice(None) if q in free else int(b) for q, b in enumerate(bits))
+        amps[index] = random_state(rng, len(free)).amplitudes.reshape((2,) * len(free))
+        state = StateVector(n, amps)
+    # few distinct qubits, so the ops often reach fewer than the floor
+    touched = data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))]
+    ops = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        gate = circuit_gate(data, rng)
+        if gate.arity > len(touched):
+            continue
+        ops.append((gate, tuple(data.draw(st.permutations(touched))[: gate.arity])))
+    want = state.amplitudes
+    for gate, targets in ops:
+        want = tensordot_reference(want, gate, targets, n)
+    got = evolve(state, ops).amplitudes
+    assert got.tobytes() == want.tobytes()
+
+
+def test_evolve_keeps_an_untouched_basis_input_at_the_floor(monkeypatch):
+    # 20 qubits, ops on 3: every multiply and copy stays within the floor
+    rng = np.random.default_rng(20)
+    n, floor = 20, 2**LIVE_FLOOR
+    ops = [(gate_of_kind("2x2", rng), (q,)) for q in (17, 4, 11, 4)]
+    pairs = (("custom", (11, 17)), ("control-block", (4, 17)), ("diagonal", (17, 11)))
+    ops += [(gate_of_kind(kind, rng), pair) for kind, pair in pairs]
+    state = init_basis(n, "01101001100101101001")
+    sizes = []
+    for name in ("matmul", "dot", "copyto"):
+        real = getattr(np, name)
+        spy = lambda *a, real=real, **kw: sizes.append(a[1].size) or real(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(np, name, spy)
+    out = evolve(state, ops).amplitudes
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= floor
+    want = state.amplitudes
+    for gate, targets in ops:
+        want = tensordot_reference(want, gate, targets, n)
+    assert out.tobytes() == want.tobytes()
 
 
 def test_evolve_validates_every_op():
