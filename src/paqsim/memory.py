@@ -152,36 +152,15 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-# below this, no coordinate difference reaches 2^511, and three squares
-# below 2^1022 cannot overflow
-_SQUARE_SAFE = 2.0**510
-
-
-def _refuse_overflow(d: np.ndarray, square_sums) -> None:
-    """Refuse separations `d` whose squared length overflows, before it is
-    formed: scaled by 2^-512, the caller's own `square_sums` rounds alike
-    and reaches 1.0 exactly where it would overflow."""
-    if (square_sums(d * 2.0**-512) >= 1.0).any():
-        raise ConfigError("atom separation too large: its square overflows")
-
-
-def _row_squares(v: np.ndarray) -> np.ndarray:
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
 def _lengths(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Distances |pos[i] - pos[j]| of (n, 3) positions, rounded as
-    `np.linalg.norm(row)` is."""
-    v = pos[i] - pos[j]
-    if np.abs(pos).max() >= _SQUARE_SAFE:
-        _refuse_overflow(v, _row_squares)
-    return np.sqrt(_row_squares(v))
-
-
-def _square_sums(d: np.ndarray) -> np.ndarray:
-    """d[0]^2 + d[1]^2 + d[2]^2, squaring d in place."""
-    d *= d
-    return d[0] + d[1] + d[2]
+    `np.linalg.norm(row)` is; a separation whose square overflows is refused."""
+    with np.errstate(over="ignore"):
+        v = pos[i] - pos[j]
+        sq = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    if np.isinf(sq).any():
+        raise ConfigError("atom separation too large: its square overflows")
+    return np.sqrt(sq)
 
 
 def _pick(values: np.ndarray, which: np.ndarray | None) -> np.ndarray:
@@ -414,13 +393,14 @@ def _farthest_external(
         return np.zeros(ensemble.n_atoms)
     far = np.empty(ensemble.n_atoms)
     ext, own = external.positions.T[:, None, :], ensemble.positions.T[:, :, None]
-    huge = max(np.abs(ext).max(), np.abs(own).max()) >= _SQUARE_SAFE
     rows = max(1, FAR_BLOCK // external.n_atoms)
-    for lo in range(0, len(far), rows):  # blocks bound the temporaries
-        d = ext - own[:, lo : lo + rows]  # (3, rows, external atoms)
-        if huge:
-            _refuse_overflow(d, _square_sums)
-        far[lo : lo + rows] = _square_sums(d).max(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing square is refused below
+        for lo in range(0, len(far), rows):  # blocks bound the temporaries
+            d = ext - own[:, lo : lo + rows]  # (3, rows, external atoms)
+            d *= d
+            far[lo : lo + rows] = (d[0] + d[1] + d[2]).max(axis=1)
+    if np.isinf(far).any():
+        raise ConfigError("atom separation too large: its square overflows")
     return np.sqrt(far)
 
 

@@ -12,17 +12,18 @@ A GateOpMatrix is checked once, by its 2-norm; unitaries by construction
 (plates, pulse propagators, the CNOT sandwich) skip it via `_trusted`.
 
 `evolve` applies a whole op list on two private buffers and wraps the
-result in a StateVector once. It works on the support of its input: a
-qubit on which every nonzero amplitude agrees (every qubit of an
-init_basis state, which evolve knows without reading it) stays out of the
+result in a StateVector once. From an init_basis state of at least
+SUPPORT_MIN qubits it works on the support of its input: init_basis
+marks its state with the basis index, so evolve knows every qubit's
+value without reading the amplitudes, and a qubit stays out of the
 buffers until an op touches it. Then the buffers grow by two: the old
 values go in the half of the qubit's value, zeros in the other, and the
 new axis goes just after the largest buffered qubit below it, so the
-qubits of a GHZ cascade stay in ascending runs. A state whose first and
-last amplitudes are both nonzero has no such qubit and costs no scan.
-Between ops `evolve` keeps the buffered qubits in an axis order of its
-own (`order[a]` is the qubit stored along axis a); one transposed copy
-at the end writes them, in basis order, into the fixed-index view of a
+qubits of a GHZ cascade stay in ascending runs. Any other input (every
+timeline step after the first) is evolved on full buffers. Between ops
+`evolve` keeps the buffered qubits in an axis order of its own
+(`order[a]` is the qubit stored along axis a); one transposed copy at
+the end writes them, in basis order, into the fixed-index view of a
 zeroed 2^n array (or into the spare buffer if no qubit stayed out). Each
 op makes at most one copy besides its growth, along one of two paths:
 
@@ -43,21 +44,26 @@ gives a column the same bits wherever it sits among the (2^k, rest)
 columns, so the order of the other axes does not matter either. Both are
 measured, not proven, and only on OpenBLAS (0.3.31): the tests check
 them bit for bit over random op sequences up to 14 qubits, and up to 16
-from partly basis inputs. On OpenBLAS these change the bits: in-place
-complex `*=` for diagonal gates, einsum, an F-ordered `out=`, and
-strided matmul over too few trailing amplitudes (2 do; 4 and 8 did not
-in 600 random circuits; STRIDED_MIN = 16 keeps a margin).
+from basis inputs. On OpenBLAS these change the bits: in-place complex
+`*=` for diagonal gates, einsum, an F-ordered `out=`, and strided matmul
+over too few trailing amplitudes (2 do; 4 and 8 did not in 600 random
+circuits; STRIDED_MIN = 16 keeps a margin).
 
-The floor: the buffers never hold fewer than 2^LIVE_FLOOR = 64 amplitudes,
-and a state of at most 64 is evolved whole; the fixed qubits the op list
-touches first fill the buffers up to it. On smaller buffers OpenBLAS
-picks other kernels and the bits move. Over random basis-input circuits
-(n 2-16; plates, H, P, X90, and CP and CNOT from all three CP models) a
-floor of 1, 4 or 8 amplitudes differed from the full-buffer bits on 122,
-130 and 89 of 400; floors of 16 and 64 matched on all 400, and 64 on
-1,500 more. Taking the floor qubits from the last qubits instead of the
-first-touched ones makes later growth costly (GHZ n = 22: 0.49 s against
-0.23 s).
+The floor: the buffers never hold fewer than 2^LIVE_FLOOR = 64
+amplitudes; the qubits the op list touches first fill them up to it. On
+smaller buffers OpenBLAS picks other kernels and the bits move. Over
+random basis-input circuits (n 2-16; plates, H, P, X90, and CP and CNOT
+from all three CP models) a floor of 1, 4 or 8 amplitudes differed from
+the full-buffer bits on 122, 130 and 89 of 400; floors of 16 and 64
+matched on all 400, and 64 on 1,500 more. Taking the floor qubits from
+the last qubits instead of the first-touched ones makes later growth
+costly (GHZ n = 22: 0.49 s against 0.23 s).
+
+SUPPORT_MIN = 11: below it the growths cost more than the smaller
+buffers save. Median time on the support path over the full-buffer
+path, in process, from an init_basis state whose ops touch every qubit
+(a plate on each, then n/4 CPs) and for ghz_dense_eval: 1.17 and 1.16 at
+n = 8, 0.95-0.98 and 1.02 at n = 10, 0.86-0.88 and 0.94-0.97 at n = 11.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ STRIDED_STACKS = 64  # up to this many stacked matmuls, strided beats a gather
 # matters from 2^15 amplitudes on, where a gather's copy leaves the L2 cache
 STRIDED_BLOCK = 128
 LIVE_FLOOR = 6  # the evolved buffers hold at least 2^LIVE_FLOOR amplitudes (module docstring)
+SUPPORT_MIN = 11  # qubits from which an init_basis input is evolved on its support
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +186,11 @@ def _as_index(value, what: str) -> int:
 
 
 def _targets(gate: GateOpMatrix, targets, n: int) -> tuple[int, ...]:
-    targets = tuple(targets)
-    try:
-        targets = tuple(map(operator.index, targets))
-    except TypeError:  # name the target that is not an integer
-        targets = tuple([_as_index(q, "target") for q in targets])
+    targets = tuple([_as_index(q, "target") for q in targets])
     k = gate.arity
     if len(targets) != k:
         raise ConfigError(f"gate arity {k} but {len(targets)} targets given")
-    if k == 2 and targets[0] == targets[1]:
+    if len(set(targets)) != k:
         raise ConfigError(f"duplicate targets {list(targets)}")
     for q in targets:
         if not 0 <= q < n:
@@ -208,23 +211,6 @@ def _gather(src: np.ndarray, dst: np.ndarray, axes: list[int]) -> None:
     np.copyto(dst.reshape((2, 2) + shape[::2]), src.reshape(shape).transpose(front + (0, 2, 4)))
 
 
-def _fixed_qubits(state: StateVector) -> dict[int, int]:
-    """{qubit: value} for the qubits on which every nonzero amplitude agrees;
-    empty for a state whose first and last amplitudes are both nonzero, or
-    one with no nonzero amplitude. An init_basis state carries its index,
-    so its amplitudes are not read."""
-    n, amps = state.n_qubits, state.amplitudes
-    lo = hi = getattr(state, "_basis_index", None)
-    if lo is None:
-        if amps[0] != 0 and amps[-1] != 0:
-            return {}
-        nonzero = np.flatnonzero(amps)
-        if not nonzero.size:
-            return {}
-        lo, hi = int(np.bitwise_and.reduce(nonzero)), int(np.bitwise_or.reduce(nonzero))
-    return {q: lo >> (n - 1 - q) & 1 for q in range(n) if not (lo ^ hi) >> (n - 1 - q) & 1}
-
-
 def _fixed_view(amps: np.ndarray, n: int, fixed: dict[int, int]) -> np.ndarray:
     """The amplitudes with each fixed qubit at its value: a view whose axes
     are the other qubits in ascending order."""
@@ -242,18 +228,16 @@ def evolve(
     """
     n = state.n_qubits
     ops = [(gate, _targets(gate, targets, n)) for gate, targets in ops]
-    # {qubit: value} kept out of the buffers. A state within the floor is
-    # evolved whole, and with no op the input is copied as it is, -0.0
-    # amplitudes included.
-    fixed = _fixed_qubits(state) if ops and n > LIVE_FLOOR else {}
     order = basis = list(range(n))  # order[a]: the qubit stored along axis a
-    if fixed:  # the floor: the fixed qubits the ops touch first join the buffers
-        first = dict.fromkeys([q for _, targets in ops for q in targets if q in fixed] + [*fixed])
-        for q in list(first)[: max(0, LIVE_FLOOR - (n - len(fixed)))]:
-            del fixed[q]
+    index = getattr(state, "_basis_index", None)
+    fixed = {}  # {qubit: value} kept out of the buffers
+    if index is not None and ops and n >= SUPPORT_MIN:
+        # the floor: the qubits the ops touch first start in the buffers
+        first = dict.fromkeys([q for _, targets in ops for q in targets] + basis)
+        fixed = {q: index >> (n - 1 - q) & 1 for q in list(first)[LIVE_FLOOR:]}
         order = [q for q in basis if q not in fixed]
         cur = _fixed_view(state.amplitudes, n, fixed).copy().reshape(-1)
-    else:  # a dense input, or one within the floor
+    else:  # copied as it is, -0.0 amplitudes included
         cur = state.amplitudes.copy()
     spare = np.empty_like(cur)
     for gate, targets in ops:

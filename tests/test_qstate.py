@@ -384,8 +384,9 @@ def circuit_gate(data, rng):
 @settings(deadline=None, max_examples=120)
 @given(st.integers(1, 16), st.booleans(), st.data())
 def test_evolve_from_a_partly_basis_input_matches_tensordot(n, kron, data):
-    # the support path: the qubits still in their input value are kept out
-    # of the buffer until an op touches them, and the bytes do not change
+    # from an init_basis input of SUPPORT_MIN qubits or more, the qubits
+    # still in their input value are kept out of the buffer until an op
+    # touches them; kron inputs take the full buffers. The bytes do not change.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     bits = "".join(data.draw(st.sampled_from(["0", "1"])) for _ in range(n))
     state = init_basis(n, bits)
