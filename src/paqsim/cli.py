@@ -60,8 +60,6 @@ from .pulses import (
     PowerLaw,
     PulseSpec,
     _eta,
-    scheme1_cp_matrix,
-    scheme2_cp_matrix,
 )
 from .qcir import parse_circuit, parse_timeline
 from .qstate import init_basis
@@ -216,14 +214,12 @@ def _cmd_pulse(args) -> int:
         b_over = args.b_over_omega
     else:
         b_over = float(blockade.shift_over_rabi(args.distance_um))
-    area = args.area_pi * math.pi
     errors = _parse_three(args.area_errors, "area errors")
     if args.scheme == 1:
-        gate = scheme1_cp_matrix(args.eta, b_over, errors)
-        ideal_ref = scheme1_cp_matrix(1.0, b_over, errors)
+        model = cp_model_scheme1(b_over, errors)
     else:
-        gate = scheme2_cp_matrix(args.eta, area, b_over)
-        ideal_ref = scheme2_cp_matrix(1.0, area, b_over)
+        model = cp_model_scheme2(args.area_pi * math.pi, b_over)
+    gate, ideal_ref = model(args.eta), model(1.0)
     leakage = 1.0 - abs(ideal_ref.entries[3, 3]) ** 2
 
     basis = basis_avg_gate_fidelity(gate, CP)

@@ -173,10 +173,15 @@ def run_circuit(
     return evolve(initial, [(build(op.kind, op.angle_deg), op.targets) for op in circuit.ops])
 
 
-def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> CircuitIR:
-    """H on qubit 0 followed by N-1 CNOTs, fanned out or chained."""
+def _ghz_size(n: int) -> None:
+    """The one check on a GHZ size."""
     if _as_index(n, "GHZ size") < 2:
         raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
+
+
+def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> CircuitIR:
+    """H on qubit 0 followed by N-1 CNOTs, fanned out or chained."""
+    _ghz_size(n)
     ops = [CircuitOp("h", (0,))]
     for i in range(1, n):
         ctrl = 0 if topology is GhzTopology.STAR else i - 1
@@ -185,8 +190,7 @@ def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> Circu
 
 
 def _ghz_amplitudes(n: int) -> np.ndarray:
-    if _as_index(n, "GHZ size") < 2:
-        raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
+    _ghz_size(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return amps
@@ -215,8 +219,7 @@ def ghz_transfer_eval(
     its largest eigenvalue: the fidelity never forms 0/0, and only the
     efficiency underflows at large n.
     """
-    if _as_index(n, "GHZ size") < 2:
-        raise ConfigError(f"GHZ needs at least 2 qubits, got {n}")
+    _ghz_size(n)
     _eta(eta)
     t00, t01, t10, t11 = _branch_transfers(eta)
     m = n - 1

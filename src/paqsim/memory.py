@@ -264,9 +264,6 @@ class CollectiveState:
         flat = (self.single.flat[r], self.pair[:, 1:].ravel())
         return _square_sum(np.concatenate(flat))
 
-    def has_rydberg(self) -> bool:
-        return self.rydberg_population() > RYDBERG_PRESENCE_TOL
-
 
 def vacuum_state() -> CollectiveState:
     return CollectiveState({(): 1.0})
@@ -383,14 +380,12 @@ def read_photon(
 
 
 def _farthest_external(
-    ensemble: EnsembleConfig, external: EnsembleConfig | None
+    ensemble: EnsembleConfig, external: EnsembleConfig
 ) -> np.ndarray:
     """Per atom, the distance to the farthest atom of the external ensemble,
     whose excitation is delocalized, so the branch-worst case governs (for
-    HardSphere: blocked only if every external atom is within reach). It is
-    zero without external geometry: fully blocked. Squares sum as in norm."""
-    if external is None:
-        return np.zeros(ensemble.n_atoms)
+    HardSphere: blocked only if every external atom is within reach).
+    Squares sum as in norm."""
     far = np.empty(ensemble.n_atoms)
     ext, own = external.positions.T[:, None, :], ensemble.positions.T[:, :, None]
     rows = max(1, FAR_BLOCK // external.n_atoms)
@@ -409,13 +404,12 @@ def apply_collective_pulse(
     pulse: PulseSpec,
     blockade: BlockadeModel,
     ensemble: EnsembleConfig,
-    external_ensemble: EnsembleConfig | None = None,
-    external_rydberg_present: bool = False,
+    blocker: EnsembleConfig | None = None,
 ) -> CollectiveState:
     """Drive g2 <-> r on every atom of the ensemble for one pulse.
 
     Single excitations evolve under the two-level propagator, detuned by
-    the blockade shift when an external Rydberg excitation is flagged.
+    the blockade shift from a Rydberg excitation in `blocker`, if given.
     Pair configurations evolve in the {g2g2, symmetric, rr} ladder with
     the intra-pair shift on rr; the antisymmetric combination is
     decoupled from the drive and only accumulates its detuning phase.
@@ -425,8 +419,8 @@ def apply_collective_pulse(
     i, j = state.pairs.T
     det1 = np.full(len(state.atoms), pulse.detuning_over_rabi)
     det2 = np.full(len(i), pulse.detuning_over_rabi)
-    if external_rydberg_present and (len(i) or len(det1)):
-        far = _farthest_external(ensemble, external_ensemble)
+    if blocker is not None and (len(i) or len(det1)):
+        far = _farthest_external(ensemble, blocker)
         det1 = det1 + blockade.shift_over_rabi(far[state.atoms])
         det2 = det2 + blockade.shift_over_rabi(np.maximum(far[i], far[j]))
     single, pair = state.single, state.pair
@@ -471,39 +465,29 @@ def scheme1_cp_micro(
 ) -> GateOpMatrix:
     """Run the three-pulse protocol atom-by-atom for all four basis inputs.
 
-    Per input |ct>: V components are written into their memories, then
-    pi (control), 2pi (target), pi (control) pulses are applied with the
-    cross-ensemble blockade projected whenever the other memory actually
-    holds Rydberg population, and finally each stored photon is read
-    back. The diagonal of retrieval amplitudes is the effective CP
-    branch; ideal settings give diag(1,-1,-1,-1).
+    Each memory is written once and each distinct pulse applied once: pi
+    (control), then 2pi (target) and pi (control), free for inputs 01 and
+    10 and, for 11, blocked by the other memory if it holds Rydberg
+    population. The diagonal of the stored photons' retrieval amplitudes
+    is the effective CP branch; ideal settings give diag(1,-1,-1,-1).
     """
     _eta(eta)
     e1, e2, e3 = pulse_area_errors
-    diag = []
-    for c_bit, t_bit in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        ctrl = write_photon(control_ensemble) if c_bit else vacuum_state()
-        tgt = write_photon(target_ensemble) if t_bit else vacuum_state()
+    pi1, pi2, pi3 = (PulseSpec(math.pi * e1), PulseSpec(2.0 * math.pi * e2),
+                     PulseSpec(math.pi * e3))
+    c_ens, t_ens = control_ensemble, target_ensemble
 
-        ctrl = apply_collective_pulse(
-            ctrl, PulseSpec(math.pi * e1), blockade, control_ensemble,
-            target_ensemble, tgt.has_rydberg(),
-        )
-        tgt = apply_collective_pulse(
-            tgt, PulseSpec(2.0 * math.pi * e2), blockade, target_ensemble,
-            control_ensemble, ctrl.has_rydberg(),
-        )
-        ctrl = apply_collective_pulse(
-            ctrl, PulseSpec(math.pi * e3), blockade, control_ensemble,
-            target_ensemble, tgt.has_rydberg(),
-        )
+    def blocker(state: CollectiveState, ens: EnsembleConfig) -> EnsembleConfig | None:
+        return ens if state.rydberg_population() > RYDBERG_PRESENCE_TOL else None
 
-        amp = 1.0 + 0.0j
-        if c_bit:
-            a, _ = read_photon(control_ensemble, ctrl, eta)
-            amp *= a
-        if t_bit:
-            a, _ = read_photon(target_ensemble, tgt, eta)
-            amp *= a
-        diag.append(amp)
-    return GateOpMatrix(np.diag(diag))
+    one = 1.0 + 0.0j  # each entry is a product from here: signed zeros keep their bits
+    tgt = write_photon(t_ens)
+    t01 = apply_collective_pulse(tgt, pi2, blockade, t_ens)
+    a01 = one * read_photon(t_ens, t01, eta)[0]
+    ctrl = apply_collective_pulse(write_photon(c_ens), pi1, blockade, c_ens)
+    c10 = apply_collective_pulse(ctrl, pi3, blockade, c_ens)
+    a10 = one * read_photon(c_ens, c10, eta)[0]
+    t11 = apply_collective_pulse(tgt, pi2, blockade, t_ens, blocker(ctrl, c_ens))
+    c11 = apply_collective_pulse(ctrl, pi3, blockade, c_ens, blocker(t11, t_ens))
+    a11 = one * read_photon(c_ens, c11, eta)[0] * read_photon(t_ens, t11, eta)[0]
+    return GateOpMatrix(np.diag([one, a01, a10, a11]))

@@ -68,6 +68,12 @@ def _eta(eta: float) -> None:
         raise ConfigError(f"eta must be in [0,1], got {eta}")
 
 
+def _blockade_shift(b_over_rabi: float) -> None:
+    """The one check on a blockade shift B/Omega."""
+    if not b_over_rabi >= 0:
+        raise ConfigError(f"blockade shift must be >= 0, got {b_over_rabi}")
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     area: float  # radians, Omega*t
@@ -226,8 +232,7 @@ def scheme1_cp_matrix(
     +eta gate failure (the target 2pi completes and cancels the sign).
     """
     _eta(eta)
-    if not blockade_shift_over_rabi >= 0:
-        raise ConfigError(f"blockade shift must be >= 0, got {blockade_shift_over_rabi}")
+    _blockade_shift(blockade_shift_over_rabi)
     e1, e2, e3 = pulse_area_errors
     s = math.sqrt(eta)
     u1 = two_level_propagator(PulseSpec(math.pi * e1)).entries
@@ -254,8 +259,7 @@ def scheme2_cp_matrix(
     _eta(eta)
     if not area > 0:
         raise ConfigError(f"pulse area must be > 0, got {area}")
-    if not b_over_rabi >= 0:
-        raise ConfigError(f"blockade shift must be >= 0, got {b_over_rabi}")
+    _blockade_shift(b_over_rabi)
     s = math.sqrt(eta)
     single = two_level_propagator(PulseSpec(area)).entries[0, 0]
     pair = complex(pair_propagators(area, [b_over_rabi], 0.0)[0, 0, 0])

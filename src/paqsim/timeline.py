@@ -110,12 +110,17 @@ class TimelineTrace:
     executed_steps: int = 0
 
 
-def max_depth(eta: float, p: float, n_qubits: int = 1) -> int | None:
-    """Largest d with eta^(n*d) >= p; None means unbounded (eta = 1)."""
+def _eta_threshold(eta: float, threshold: float) -> None:
+    """The one check on a timeline's memory efficiency and stop threshold."""
     if not 0.0 < eta <= 1.0:
         raise ConfigError(f"eta must be in (0,1], got {eta}")
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"threshold must be in (0,1), got {p}")
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must be in (0,1), got {threshold}")
+
+
+def max_depth(eta: float, p: float, n_qubits: int = 1) -> int | None:
+    """Largest d with eta^(n*d) >= p; None means unbounded (eta = 1)."""
+    _eta_threshold(eta, p)
     if _as_index(n_qubits, "qubit count") < 1:
         raise ConfigError(f"need at least one qubit, got {n_qubits}")
     if eta == 1.0:
@@ -132,10 +137,7 @@ def run_timeline(
     blockade: BlockadeModel | None = None,
     initial: StateVector | None = None,
 ) -> TimelineTrace:
-    if not 0.0 < eta <= 1.0:
-        raise ConfigError(f"eta must be in (0,1], got {eta}")
-    if not 0.0 < stop_threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0,1), got {stop_threshold}")
+    _eta_threshold(eta, stop_threshold)
     if blockade is None:
         blockade = HardSphere()
     reach = blockade.reach_um()
@@ -147,6 +149,7 @@ def run_timeline(
 
     trace = TimelineTrace(final_state=state)
     cycle = eta**n
+    norm = state.norm_sq
     for step in program.steps:
         if trace.cumulative_success * cycle < stop_threshold:
             break
@@ -161,9 +164,9 @@ def run_timeline(
                     f"blockade reach {reach:.6g} um"
                 )
             ops.append((cp_gate, (i, j)))
-        norm_before = state.norm_sq
         state = evolve(state, ops)
-        survival = cycle * state.norm_sq / norm_before
+        norm_before, norm = norm, state.norm_sq
+        survival = cycle * norm / norm_before
         trace.per_step_survival.append(float(survival))
         trace.cumulative_success *= float(survival)
         trace.executed_steps += 1

@@ -235,6 +235,25 @@ def test_pulse_dead_input_is_numeric_failure(capsys):
     assert err.startswith("error:")
 
 
+# (flags, SHA-256 of stdout) under a finite blockade with area errors or a
+# non-default area, at eta < 1
+PINNED_PULSES = [
+    (("--scheme", "1", "--blockade", "c6:5000", "--distance-um", "6",
+      "--area-errors", "1.05,0.97,0.95", "--eta", "0.7"),
+     "2454e7c5b5e82ef794ed6cbf9f86f7421d50e69dc7a1c039335c8cf3d887409d"),
+    (("--scheme", "2", "--area-pi", "7", "--b-over-omega", "3", "--eta", "0.8"),
+     "99cd2dcef3577c00becd7a04ec744e2e5abd8380e2685c556c109914002e768a"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", PINNED_PULSES,
+                         ids=[" ".join(f) for f, _ in PINNED_PULSES])
+def test_pulse_stdout_is_pinned(capsys, flags, digest):
+    code, out, err = cli(capsys, "pulse", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # Output of three commands with the two Haar fields as placeholders. Every
 # other byte equals what the earlier Monte Carlo estimator's CLI printed.
 FROZEN_SWEEP = (
