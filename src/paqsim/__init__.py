@@ -34,7 +34,6 @@ from .gates import (
     cp_model_scheme1,
     cp_model_scheme2,
     ghz_dense_eval,
-    ghz_state,
     ghz_transfer_eval,
     lossy_cnot,
     run_circuit,
@@ -55,10 +54,8 @@ from .metrics import (
     haar_exact_gate_fidelity,
     haar_weighted_gate_fidelity,
     process_fidelity_postselected,
-    state_fidelity_postselected,
 )
 from .optics import (
-    distance_up_to_global_phase,
     hwp,
     qwp,
 )
@@ -133,12 +130,10 @@ __all__ = [
     "cp_ideal_with_loss",
     "cp_model_scheme1",
     "cp_model_scheme2",
-    "distance_up_to_global_phase",
     "efficiency_basis_avg",
     "evolve",
     "gaussian_cloud",
     "ghz_dense_eval",
-    "ghz_state",
     "ghz_transfer_eval",
     "haar_exact_gate_fidelity",
     "haar_weighted_gate_fidelity",
@@ -159,7 +154,6 @@ __all__ = [
     "scheme2_cp_matrix",
     "serialize_circuit",
     "serialize_timeline",
-    "state_fidelity_postselected",
     "two_level_propagator",
     "vacuum_state",
     "write_photon",

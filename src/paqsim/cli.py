@@ -61,8 +61,8 @@ from .pulses import (
     PulseSpec,
     _eta,
 )
-from .qcir import parse_circuit, parse_timeline
-from .qstate import init_basis
+from .qcir import _header, parse_circuit, parse_timeline
+from .qstate import MAX_QUBITS, init_basis
 from .timeline import max_depth, run_timeline
 
 
@@ -257,7 +257,9 @@ def _cmd_pulse(args) -> int:
 
 def _cmd_run(args) -> int:
     _eta(args.eta)
-    circuit = parse_circuit(_read_text(args.circuit))
+    text = _read_text(args.circuit)
+    _header(text, "qubits", "qubit count", MAX_QUBITS)  # a run forms the 2^n state
+    circuit = parse_circuit(text)
     model = _cp_model_from_args(args)
     initial = None
     if args.input is not None:

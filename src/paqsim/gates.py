@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ConfigError
 from .optics import PLATES
 from .pulses import _eta, scheme1_cp_matrix, scheme2_cp_matrix
-from .qstate import GateOpMatrix, StateVector, _as_index, _trusted, evolve, init_basis
+from .qstate import MAX_QUBITS, GateOpMatrix, StateVector, _as_index, _qubit_count, _trusted
+from .qstate import evolve, init_basis
 
 HADAMARD = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
 PHASE = GateOpMatrix(np.diag([1.0, -1.0j]))
@@ -44,8 +45,6 @@ _CNOT_BEFORE = np.kron(np.eye(2), X90.entries @ PHASE.entries)
 _CNOT_AFTER = np.kron(np.eye(2), PHASE.entries @ X90.entries)
 
 CpModel = Callable[[float], GateOpMatrix]
-
-DENSE_QUBIT_CAP = 22
 
 
 class GateSpec(NamedTuple):
@@ -166,7 +165,8 @@ def run_circuit(
     Each distinct (kind, angle) gate is built once per call.
     """
     if initial is None:
-        initial = init_basis(circuit.n_qubits, "0" * circuit.n_qubits)
+        n = _qubit_count(circuit.n_qubits)  # a circuit may be larger than a state
+        initial = init_basis(n, "0" * n)
     elif initial.n_qubits != circuit.n_qubits:
         raise ConfigError("initial state size does not match circuit")
     build = functools.cache(lambda kind, angle: GATES[kind].build(angle, eta, cp_model))
@@ -194,10 +194,6 @@ def _ghz_amplitudes(n: int) -> np.ndarray:
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return amps
-
-
-def ghz_state(n: int) -> StateVector:
-    return StateVector(n, _ghz_amplitudes(n))
 
 
 def _branch_transfers(eta: float) -> tuple[float, float, float, float]:
@@ -241,10 +237,8 @@ def ghz_dense_eval(
     cp_model: CpModel = cp_ideal_with_loss,
 ) -> tuple[float, float]:
     """Full state-vector GHZ run; the transfer evaluator's oracle."""
-    if n > DENSE_QUBIT_CAP:
-        raise ConfigError(
-            f"dense GHZ capped at {DENSE_QUBIT_CAP} qubits, got {n}"
-        )
+    if n > MAX_QUBITS:
+        raise ConfigError(f"dense GHZ capped at {MAX_QUBITS} qubits, got {n}")
     out = run_circuit(build_ghz_circuit(n, topology), eta, cp_model)
     prob = out.norm_sq
     if prob <= 0.0:

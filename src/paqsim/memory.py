@@ -103,6 +103,8 @@ class EnsembleConfig:
     def phases(self, wavevector: np.ndarray | None = None) -> np.ndarray:
         """phi_j = k.r_j for every atom, against the given or native k."""
         k = self.wavevector if wavevector is None else np.asarray(wavevector, float)
+        if not np.isfinite(k).all():  # a read may take k from outside the ensemble
+            raise ConfigError(f"wavevector must be finite, got {k}")
         return self.positions @ k
 
 
@@ -116,18 +118,6 @@ def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, abs(sigma_um), size=(n_atoms, 3))  # numpy refuses -0.0
-
-
-def _canonical(config) -> Config:
-    out = tuple(sorted((_as_index(i, "atom index"), str(lvl)) for i, lvl in config))
-    for k, (i, lvl) in enumerate(out):
-        if lvl not in LEVELS:
-            raise ConfigError(f"unknown level {lvl!r} in configuration")
-        if i < 0:
-            raise ConfigError(f"atom index {i} is negative")
-        if k and out[k - 1][0] == i:
-            raise ConfigError(f"atom {i} appears twice in one configuration")
-    return out
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -179,37 +169,13 @@ def _propagate(u: np.ndarray, which: np.ndarray | None, x: np.ndarray) -> np.nda
 
 
 class CollectiveState:
-    """Amplitudes over excitation configurations, one array per sector,
-    built from a {configuration: amplitude} dict (`amplitudes` maps back),
-    dropping amplitudes at or below PRUNE_TOL. `order` lists the flat
-    indices of `single` in the order its sums run. Read-only."""
+    """Amplitudes over excitation configurations, one array per sector;
+    `CollectiveState()` is the vacuum, and the engine builds every other
+    state with `_of`. `amplitudes` maps back to configurations. `order`
+    lists the flat indices of `single` in the order its sums run. Read-only."""
 
-    def __init__(self, amplitudes: Mapping | None = None):
-        clean: dict[Config, complex] = {}
-        for config, amp in (amplitudes or {}).items():
-            c = _canonical(config)
-            if len(c) > 2:
-                raise MemoryCapacityError(
-                    f"configuration {c} exceeds the two-excitation cap"
-                )
-            if abs(amp) > PRUNE_TOL:
-                clean[c] = clean.get(c, 0.0) + complex(amp)
-        one = {c[0]: a for c, a in clean.items() if len(c) == 1}
-        two = {c: a for c, a in clean.items() if len(c) == 2}
-        rows = {j: k for k, j in enumerate(dict.fromkeys(j for j, _ in one))}
-        ij = dict.fromkeys((i, j) for (i, _), (j, _) in two)
-        pairs = {p: k for k, p in enumerate(ij)}
-        order = [2 * rows[j] + LEVELS.index(lvl) for j, lvl in one]
-        single = np.zeros((len(rows), 2), dtype=complex)
-        single.flat[order] = list(one.values())
-        slots = [4 * pairs[i, j] + LEVELS.index(li) + 2 * LEVELS.index(lj)
-                 for (i, li), (j, lj) in two]
-        pair = np.zeros((len(pairs), 4), dtype=complex)
-        pair.flat[slots] = list(two.values())
-        atoms = np.array(list(rows), dtype=np.intp)
-        index = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-        order = np.array(order, dtype=np.intp)
-        self._set(clean.get((), 0j), atoms, single, index, pair, order)
+    def __init__(self):
+        self._set(1.0, np.zeros(0, dtype=np.intp), np.zeros((0, 2), dtype=complex))
 
     @classmethod
     def _of(cls, *sectors, **kw) -> CollectiveState:
@@ -222,9 +188,6 @@ class CollectiveState:
         self.vacuum, self.atoms, self.single = complex(vacuum), atoms, single
         self.pairs, self.pair, self.order = pairs, pair, order
         return self
-
-    def __repr__(self) -> str:
-        return f"CollectiveState({dict(self.amplitudes)!r})"
 
     @cached_property
     def amplitudes(self) -> Mapping[Config, complex]:
@@ -266,7 +229,7 @@ class CollectiveState:
 
 
 def vacuum_state() -> CollectiveState:
-    return CollectiveState({(): 1.0})
+    return CollectiveState()
 
 
 def _check_atoms(state: CollectiveState, ensemble: EnsembleConfig) -> None:
@@ -363,19 +326,19 @@ def read_photon(
                       _cmul(m[j], x[:, 1]), _cmul(m[i], x[:, 2])], axis=1)
     np.add.at(rest, slots, terms[present])
 
-    # the remainder, keyed in first-seen order
+    # the remainder, keyed in first-seen order, less what the pruning drops
+    _pruned(rest)
     keys, first = np.unique(slots, return_index=True)
-    keys = [vac] * min(len(g2), 1) + keys[np.argsort(first)].tolist()
-    left = CollectiveState(
-        {((k // 2, LEVELS[k % 2]),) if k < vac else (): rest[k] for k in keys}
-    )
-    norm = math.sqrt(left.norm_sq())
+    keys = keys[np.argsort(first)]
+    keys = keys[rest[keys] != 0]
+    atoms, row = np.unique(keys // 2, return_inverse=True)
+    order = 2 * row + keys % 2
+    norm = math.sqrt(_square_sum(rest[np.concatenate(([vac], keys))]))
     if norm <= PRUNE_TOL:
         return 0.0 + 0.0j, vacuum_state()
-    single = (left.single.view(float) / norm).view(complex)  # as Python's a / norm
-    remaining = CollectiveState._of(
-        left.vacuum / norm, left.atoms, single, order=left.order
-    )
+    single = np.zeros((len(atoms), 2), dtype=complex)
+    single.flat[order] = (rest[keys].view(float) / norm).view(complex)  # as Python's a / norm
+    remaining = CollectiveState._of(complex(rest[vac]) / norm, atoms, single, order=order)
     return math.sqrt(eta) * norm, remaining
 
 

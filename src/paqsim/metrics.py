@@ -21,20 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, PostSelectionError
-from .qstate import GateOpMatrix, StateVector
+from .qstate import GateOpMatrix
 
 _ZERO_NORM = 1e-300
-
-
-def state_fidelity_postselected(out: StateVector, ideal: StateVector) -> float:
-    """|<ideal|out>|^2 / <out|out>: attenuation is invisible, phase is not."""
-    if out.n_qubits != ideal.n_qubits:
-        raise ConfigError("states must have the same qubit count")
-    norm = out.norm_sq
-    if norm <= _ZERO_NORM:
-        raise PostSelectionError("output branch has zero norm; nothing survives")
-    overlap = np.vdot(ideal.amplitudes, out.amplitudes)
-    return float(abs(overlap) ** 2 / norm)
 
 
 def basis_avg_gate_fidelity(m: GateOpMatrix, u: GateOpMatrix) -> float:

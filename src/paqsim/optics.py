@@ -57,21 +57,3 @@ def plate_gates(plates) -> list[GateOpMatrix]:
 # fast-axis angle -> gate, one builder per plate kind
 PLATES = {kind: lambda a, kind=kind: plate_gates([(kind, a)])[0] for kind in _RETARDANCE}
 qwp, hwp = PLATES["qwp"], PLATES["hwp"]
-
-
-def distance_up_to_global_phase(a, b) -> float:
-    """min over phi of the Frobenius norm ||A - e^{i phi} B||.
-
-    Computed by aligning the phase first and differencing directly;
-    the expanded sqrt(|A|^2+|B|^2-2|tr|) form loses half the digits to
-    cancellation when A and B agree.
-    """
-    ma = a.entries if isinstance(a, GateOpMatrix) else np.asarray(a, dtype=complex)
-    mb = b.entries if isinstance(b, GateOpMatrix) else np.asarray(b, dtype=complex)
-    if ma.shape != mb.shape:
-        raise ConfigError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    t = np.trace(ma.conj().T @ mb)
-    if abs(t) == 0.0:
-        # orthogonal in the Frobenius sense: every phase is equally far
-        return float(np.sqrt(np.linalg.norm(ma) ** 2 + np.linalg.norm(mb) ** 2))
-    return float(np.linalg.norm(ma - (np.conj(t) / abs(t)) * mb))

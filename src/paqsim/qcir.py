@@ -6,12 +6,12 @@ degrees, numbers are finite. Parse errors carry the 1-based line and
 column of the offending token and never return a partial program.
 
 .qc grammar:
-    qubits <n>
+    qubits <n>                 # n >= 1; `paqsim run` takes n <= qstate.MAX_QUBITS (22)
     <name> <q> [<angle>]       # one-qubit gates, e.g. `h 0`, `qwp 1 45`
     <name> <control> <target>  # two-qubit gates, e.g. `cp 0 1`
 
 .qtl grammar:
-    qms <n>
+    qms <n>                    # 1 <= n <= qstate.MAX_QUBITS (22)
     pos <i> <x> [y]            # micrometers, y defaults to 0
     step:
         pmu <i> <plate> <angle>  # e.g. `pmu 0 hwp 22.5`
@@ -33,6 +33,7 @@ import re
 from .errors import ParseError
 from .gates import GATES, CircuitIR, CircuitOp
 from .optics import PLATES
+from .qstate import MAX_QUBITS
 from .timeline import PlateOp, TimelineProgram, TimelineStep
 
 _TOKEN = re.compile(r"\S+")
@@ -76,8 +77,8 @@ def _index(tok, col, line, n, what):
     return q
 
 
-def _header(text, keyword, what):
-    """Read the `<keyword> <n>` first statement; returns the rest and n."""
+def _header(text, keyword, what, most=math.inf):
+    """Read the `<keyword> <n>` first statement, 1 <= n <= most; returns the rest and n."""
     lines = _token_lines(text)
     try:
         lineno, tokens = next(lines)
@@ -89,6 +90,8 @@ def _header(text, keyword, what):
     n = _int(tokens[1][0], tokens[1][1], lineno, what)
     if n < 1:
         raise ParseError(f"{what} must be >= 1, got {n}", lineno, tokens[1][1])
+    if n > most:
+        raise ParseError(f"{what} must be <= {most}, got {n}", lineno, tokens[1][1])
     return lines, n
 
 
@@ -121,7 +124,7 @@ def serialize_circuit(circuit: CircuitIR) -> str:
 
 
 def parse_timeline(text: str) -> TimelineProgram:
-    lines, n = _header(text, "qms", "memory count")
+    lines, n = _header(text, "qms", "memory count", MAX_QUBITS)  # one position per memory
     positions: dict[int, tuple[float, float]] = {}
     steps: list[TimelineStep] = []
     pmu: list[tuple[int, PlateOp]] = []

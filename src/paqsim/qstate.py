@@ -85,6 +85,10 @@ STRIDED_STACKS = 64  # up to this many stacked matmuls, strided beats a gather
 STRIDED_BLOCK = 128
 LIVE_FLOOR = 6  # the evolved buffers hold at least 2^LIVE_FLOOR amplitudes (module docstring)
 SUPPORT_MIN = 11  # qubits from which an init_basis input is evolved on its support
+# largest dense state, measured end to end: `paqsim run` and `timeline` with
+# 2^n output amplitudes peak at 1.7 GB RSS for n = 22 and 3.4 GB for n = 23,
+# mostly the JSON, so n = 23 runs out under a 3 GB address-space limit
+MAX_QUBITS = 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +98,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
-        if _as_index(self.n_qubits, "qubit count") < 1:
-            raise ConfigError(f"need at least one qubit, got {self.n_qubits}")
+        _qubit_count(self.n_qubits)
         if amps.size != 2**self.n_qubits:
             raise ConfigError(f"amplitude length {amps.size} != 2^{self.n_qubits}")
         amps.flags.writeable = False
@@ -141,8 +144,7 @@ class GateOpMatrix:
 
 def init_basis(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>, e.g. init_basis(2, "10")."""
-    if _as_index(n_qubits, "qubit count") < 1:
-        raise ConfigError(f"need at least one qubit, got {n_qubits}")
+    _qubit_count(n_qubits)
     if len(bits) != n_qubits:
         raise ConfigError(f"bitstring {bits!r} length != {n_qubits} qubits")
     if any(b not in "01" for b in bits):
@@ -183,6 +185,17 @@ def _as_index(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _qubit_count(n_qubits) -> int:
+    """The one check on a dense state's qubit count; it runs before any
+    2^n array or n-character bit string is formed."""
+    n = _as_index(n_qubits, "qubit count")
+    if n < 1:
+        raise ConfigError(f"need at least one qubit, got {n_qubits}")
+    if n > MAX_QUBITS:
+        raise ConfigError(f"dense states hold at most {MAX_QUBITS} qubits, got {n_qubits}")
+    return n
 
 
 def _targets(gate: GateOpMatrix, targets, n: int) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from .errors import ConfigError, GatePlacementError
 from .gates import CpModel, cp_ideal_with_loss
 from .optics import PLATES, plate_gates
 from .pulses import BlockadeModel, HardSphere
-from .qstate import StateVector, _as_index, evolve, init_basis
+from .qstate import StateVector, _as_index, _qubit_count, evolve, init_basis
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def run_timeline(
     if blockade is None:
         blockade = HardSphere()
     reach = blockade.reach_um()
-    n = program.n_qms
+    n = _qubit_count(program.n_qms)
     state = init_basis(n, "0" * n) if initial is None else initial
     if state.n_qubits != n:
         raise ConfigError("initial state size does not match program")

@@ -21,15 +21,27 @@ from paqsim.errors import (
     MemoryCapacityError,
 )
 from paqsim.memory import (
+    LEVELS,
     MAX_PAIRS,
     PRUNE_TOL,
     RYDBERG_PRESENCE_TOL,
     Config,
     EnsembleConfig,
-    _canonical,
 )
 from paqsim.pulses import BlockadeModel, PulseSpec, _drive, two_level_propagator
-from paqsim.qstate import GateOpMatrix
+from paqsim.qstate import GateOpMatrix, _as_index
+
+
+def _canonical(config) -> Config:
+    out = tuple(sorted((_as_index(i, "atom index"), str(lvl)) for i, lvl in config))
+    for k, (i, lvl) in enumerate(out):
+        if lvl not in LEVELS:
+            raise ConfigError(f"unknown level {lvl!r} in configuration")
+        if i < 0:
+            raise ConfigError(f"atom index {i} is negative")
+        if k and out[k - 1][0] == i:
+            raise ConfigError(f"atom {i} appears twice in one configuration")
+    return out
 
 
 def pair_propagator(

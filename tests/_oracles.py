@@ -5,7 +5,11 @@ of an exact integral; the Monte Carlo average below is its independent
 check. `fit_pair_frequency` measures the sqrt(2)-enhanced pair
 oscillation from the ladder Hamiltonian that
 `paqsim.pulses.pair_propagators` exponentiates, so the ladder is written
-once. `apply_gate` is a one-op `evolve`.
+once. `apply_gate` is a one-op `evolve`. `ghz_state`,
+`state_fidelity_postselected` and `distance_up_to_global_phase` are the
+plain definitions the gate and plate tests check against; `ghz_dense_eval`
+computes its fidelity inline. `collective_state` builds an atom-engine
+state from a {configuration: amplitude} dict, cleaned by the dict engine.
 
 The Monte Carlo average is evaluated in fixed-size chunks, each with its
 own counter-derived generator seeded by (seed, chunk index), and the
@@ -20,7 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import _dict_memory
 from paqsim.errors import ConfigError, PostSelectionError
+from paqsim.gates import _ghz_amplitudes
+from paqsim.memory import LEVELS, CollectiveState
 from paqsim.metrics import _ZERO_NORM
 from paqsim.pulses import _pair_drive, _pair_ladders
 from paqsim.qstate import GateOpMatrix, StateVector, evolve
@@ -30,6 +37,62 @@ HAAR_CHUNK = 8192
 
 def apply_gate(state: StateVector, gate: GateOpMatrix, targets) -> StateVector:
     return evolve(state, [(gate, targets)])
+
+
+def ghz_state(n: int) -> StateVector:
+    return StateVector(n, _ghz_amplitudes(n))
+
+
+def state_fidelity_postselected(out: StateVector, ideal: StateVector) -> float:
+    """|<ideal|out>|^2 / <out|out>: attenuation is invisible, phase is not."""
+    if out.n_qubits != ideal.n_qubits:
+        raise ConfigError("states must have the same qubit count")
+    norm = out.norm_sq
+    if norm <= _ZERO_NORM:
+        raise PostSelectionError("output branch has zero norm; nothing survives")
+    overlap = np.vdot(ideal.amplitudes, out.amplitudes)
+    return float(abs(overlap) ** 2 / norm)
+
+
+def distance_up_to_global_phase(a, b) -> float:
+    """min over phi of the Frobenius norm ||A - e^{i phi} B||.
+
+    Computed by aligning the phase first and differencing directly;
+    the expanded sqrt(|A|^2+|B|^2-2|tr|) form loses half the digits to
+    cancellation when A and B agree.
+    """
+    ma = a.entries if isinstance(a, GateOpMatrix) else np.asarray(a, dtype=complex)
+    mb = b.entries if isinstance(b, GateOpMatrix) else np.asarray(b, dtype=complex)
+    if ma.shape != mb.shape:
+        raise ConfigError(f"shape mismatch {ma.shape} vs {mb.shape}")
+    t = np.trace(ma.conj().T @ mb)
+    if abs(t) == 0.0:
+        # orthogonal in the Frobenius sense: every phase is equally far
+        return float(np.sqrt(np.linalg.norm(ma) ** 2 + np.linalg.norm(mb) ** 2))
+    return float(np.linalg.norm(ma - (np.conj(t) / abs(t)) * mb))
+
+
+def collective_state(mapping) -> CollectiveState:
+    """The state a {configuration: amplitude} dict describes, as the dict
+    engine cleans it (canonical configurations, pruned, at most two
+    excitations); atoms and pairs take rows in first-seen order, and sums
+    run in the dict's order."""
+    clean = _dict_memory.CollectiveState(dict(mapping)).amplitudes
+    one = {c[0]: a for c, a in clean.items() if len(c) == 1}
+    two = {c: a for c, a in clean.items() if len(c) == 2}
+    rows = {j: k for k, j in enumerate(dict.fromkeys(j for j, _ in one))}
+    pairs = {p: k for k, p in enumerate(dict.fromkeys((i, j) for (i, _), (j, _) in two))}
+    order = [2 * rows[j] + LEVELS.index(lvl) for j, lvl in one]
+    single = np.zeros((len(rows), 2), dtype=complex)
+    single.flat[order] = list(one.values())
+    slots = [4 * pairs[i, j] + LEVELS.index(li) + 2 * LEVELS.index(lj)
+             for (i, li), (j, lj) in two]
+    pair = np.zeros((len(pairs), 4), dtype=complex)
+    pair.flat[slots] = list(two.values())
+    atoms = np.array(list(rows), dtype=np.intp)
+    index = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    return CollectiveState._of(clean.get((), 0j), atoms, single, index, pair,
+                               np.array(order, dtype=np.intp))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from paqsim import (
     Perfect,
     PulseSpec,
     basis_avg_gate_fidelity,
-    distance_up_to_global_phase,
     efficiency_basis_avg,
     gaussian_cloud,
     ghz_dense_eval,
@@ -46,7 +45,11 @@ from paqsim import (
 from paqsim.cli import main
 
 import _corpus
-from _oracles import fit_pair_frequency, haar_avg_gate_fidelity
+from _oracles import (
+    distance_up_to_global_phase,
+    fit_pair_frequency,
+    haar_avg_gate_fidelity,
+)
 
 
 def _report(number: int, ok: bool, detail: str) -> None:

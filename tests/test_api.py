@@ -12,12 +12,15 @@ RETIRED = (
     "FidelityReport",
     "WavePlate",
     "apply_gate",
+    "distance_up_to_global_phase",
     "fit_pair_frequency",
+    "ghz_state",
     "haar_avg_gate_fidelity",
     "jones_matrix",
     "pair_propagator",
     "scheme2_leakage",
     "scheme2_pair_return",
+    "state_fidelity_postselected",
     "success_probability",
 )
 

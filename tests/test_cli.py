@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -665,6 +667,26 @@ def test_non_finite_file_numbers_are_parse_errors(tmp_path, capsys, command, nam
     assert err.startswith(f"error: {where}: angle must be finite")
 
 
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("run", "big.qc", "qubits 23\nh 0\n", "line 1, column 8: qubit count"),
+        ("run", "huge.qc", f"qubits {'4' * 40}\nh 0\n", "line 1, column 8: qubit count"),
+        ("timeline", "big.qtl", "qms 100000000\n", "line 1, column 5: memory count"),
+        ("timeline", "huge.qtl", f"qms {'4' * 40}\n", "line 1, column 5: memory count"),
+    ],
+)
+def test_oversized_headers_are_parse_errors(tmp_path, capsys, command, name, text, where):
+    # refused at the count, before a 2^n state or one position per memory is built
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {where} must be <= 22, got ")
+
+
 # Every numeric flag of every subcommand at the edges of the float range.
 # An int flag parses only "0" of these, so sizes stay as small as the base.
 EXTREMES = ("0", "-0.0", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan")
@@ -759,6 +781,46 @@ def test_every_error_class_exits_with_its_code(capsys, monkeypatch, exc):
     assert code == exc.exit_code
     assert out == ""
     assert err.splitlines() == [f"error: {exc}"]
+
+
+# ------------------------------------------------------------------ README
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# (info string, body) of each fenced block
+README_BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.M | re.S)
+# the README's example files, named as its commands name them
+README_FILES = {"qubits": "bell.qc", "qms": "prog.qtl"}
+README_COMMANDS = [
+    match.group(1).strip()
+    for info, body in README_BLOCKS if info == "sh"
+    for line in body.splitlines()
+    if (match := re.search(r"(?:^|python -m )paqsim (.*)", line.split("#")[0]))
+]
+SWEEP_EXITS_4 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the README's cnot-sweep grids include eta = 0, where the basis average is "
+    "undefined, so they exit 4",
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [pytest.param(c, marks=SWEEP_EXITS_4) if c.startswith("cnot-sweep") else c
+     for c in README_COMMANDS],
+)
+def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys, command):
+    for info, body in README_BLOCKS:
+        if not info and body.split()[0] in README_FILES:
+            (tmp_path / README_FILES[body.split()[0]]).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = cli(capsys, *shlex.split(command))
+    assert code == 0, err
+
+
+def test_readme_shows_every_subcommand():
+    subcommands = {"cnot-sweep", "ghz", "pulse", "run", "timeline", "micro"}
+    assert {c.split()[0] for c in README_COMMANDS} == subcommands
 
 
 # ------------------------------------------------------ cross-process checks

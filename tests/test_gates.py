@@ -20,9 +20,7 @@ from paqsim import (
     cp_ideal_with_loss,
     cp_model_scheme1,
     cp_model_scheme2,
-    distance_up_to_global_phase,
     ghz_dense_eval,
-    ghz_state,
     ghz_transfer_eval,
     init_basis,
     lossy_cnot,
@@ -31,7 +29,12 @@ from paqsim import (
 )
 from paqsim.gates import PHASE, X90
 
-from _oracles import apply_gate
+from _oracles import (
+    apply_gate,
+    distance_up_to_global_phase,
+    ghz_state,
+    state_fidelity_postselected,
+)
 
 
 def test_cp_and_cnot_constants():
@@ -307,6 +310,19 @@ def test_ghz_dense_matches_transfer():
                 transfer = ghz_transfer_eval(n, eta, topo)
                 assert abs(dense[0] - transfer[0]) < 1e-10
                 assert abs(dense[1] - transfer[1]) < 1e-10
+
+
+def test_ghz_dense_fidelity_is_the_post_selected_state_fidelity():
+    # ghz_dense_eval's inline fidelity has the bits of the oracle's definition
+    models = (cp_ideal_with_loss, cp_model_scheme1(3.0, (1.05, 0.97, 1.0)),
+              cp_model_scheme2(10.0 * math.pi, 5.0))
+    for topo in GhzTopology:
+        for n in range(2, 9):
+            for model in models:
+                for eta in (0.3, 0.58, 1.0):
+                    out = run_circuit(build_ghz_circuit(n, topo), eta, model)
+                    want = state_fidelity_postselected(out, ghz_state(n))
+                    assert ghz_dense_eval(n, eta, topo, model)[0] == want
 
 
 def test_ghz_dense_cap():

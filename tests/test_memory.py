@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import _dict_memory
 import paqsim.cli
 import paqsim.memory
+from _oracles import collective_state
 from paqsim import (
     CollectiveState,
     ConfigError,
@@ -80,26 +81,8 @@ def test_gaussian_cloud_counts_and_signed_zero():
     np.testing.assert_array_equal(gaussian_cloud(3, -0.0, 1), np.zeros((3, 3)))
 
 
-def test_collective_state_atom_indices_must_be_integral():
-    with pytest.raises(ConfigError, match=r"^atom index must be an integer, got 0\.5$"):
-        CollectiveState({((0.5, "g2"),): 1.0})
-    state = CollectiveState({((np.int64(2), "r"),): 1.0})
-    assert list(state.amplitudes) == [((2, "r"),)]
-
-
-def test_collective_state_validation():
-    with pytest.raises(MemoryCapacityError):
-        CollectiveState({((0, "g2"), (1, "g2"), (2, "g2")): 1.0})
-    with pytest.raises(ConfigError):
-        CollectiveState({((0, "bad"),): 1.0})
-    with pytest.raises(ConfigError):
-        CollectiveState({((0, "g2"), (0, "r")): 1.0})
-    with pytest.raises(ConfigError, match="negative"):
-        CollectiveState({((-1, "g2"),): 1.0})
-
-
 def test_rydberg_population_bookkeeping():
-    s = CollectiveState({((0, "r"),): 0.6, ((1, "g2"),): 0.8})
+    s = collective_state({((0, "r"),): 0.6, ((1, "g2"),): 0.8})
     assert abs(s.rydberg_population() - 0.36) < 1e-15
 
 
@@ -158,7 +141,7 @@ def test_write_capacity_and_level_errors():
     with pytest.raises(MemoryCapacityError):
         write_photon(single_atom, write_photon(single_atom))
     with pytest.raises(ConfigError):
-        write_photon(ens, CollectiveState({((0, "r"),): 1.0}))
+        write_photon(ens, collective_state({((0, "r"),): 1.0}))
 
 
 def test_second_write_is_capped_before_the_pair_loop(monkeypatch):
@@ -232,9 +215,19 @@ def test_read_errors():
     with pytest.raises(EmptyMemoryError):
         read_photon(ens, vacuum_state(), 1.0)
     with pytest.raises(EmptyMemoryError):
-        read_photon(ens, CollectiveState({((0, "r"),): 1.0}), 1.0)
+        read_photon(ens, collective_state({((0, "r"),): 1.0}), 1.0)
     with pytest.raises(ConfigError):
         read_photon(ens, write_photon(ens), 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_read_refuses_a_non_finite_wavevector(bad):
+    # a NaN k would give NaN amplitudes that the pruning keeps
+    ens = make_ensemble(3, seed=7)
+    pair = write_photon(ens, write_photon(ens))
+    for state in (write_photon(ens), pair):
+        with pytest.raises(ConfigError, match="^wavevector must be finite"):
+            read_photon(ens, state, 0.5, np.array([bad, 0.0, 0.0]))
 
 
 # states holding an atom a 3-atom ensemble lacks (a single, a pair, an r
@@ -250,23 +243,23 @@ FOREIGN = [
 def test_read_rejects_atoms_beyond_the_ensemble(amplitudes, top):
     ens = EnsembleConfig(np.zeros((3, 3)), K_DEFAULT)
     with pytest.raises(ConfigError, match=f"atom {top},.*n_atoms = 3"):
-        read_photon(ens, CollectiveState(amplitudes), 1.0)
+        read_photon(ens, collective_state(amplitudes), 1.0)
 
 
 @pytest.mark.parametrize("amplitudes, top", FOREIGN)
 def test_write_rejects_atoms_beyond_the_ensemble(amplitudes, top):
     ens = EnsembleConfig(np.zeros((3, 3)), K_DEFAULT)
     with pytest.raises(ConfigError, match=f"atom {top},.*n_atoms = 3"):
-        write_photon(ens, CollectiveState(amplitudes))
+        write_photon(ens, collective_state(amplitudes))
 
 
 @pytest.mark.parametrize("amplitudes, top", FOREIGN)
 def test_pulse_rejects_atoms_beyond_the_ensemble(amplitudes, top):
     ens = EnsembleConfig(np.zeros((3, 3)), K_DEFAULT)
-    state = CollectiveState(amplitudes)
+    state = collective_state(amplitudes)
     with pytest.raises(ConfigError, match=f"atom {top},.*n_atoms = 3"):
         apply_collective_pulse(state, PulseSpec(math.pi), Perfect(), ens)
-    last = CollectiveState({((2, "g2"),): 1.0})  # the highest index is fine
+    last = collective_state({((2, "g2"),): 1.0})  # the highest index is fine
     assert apply_collective_pulse(last, PulseSpec(math.pi), Perfect(), ens).single.any()
 
 
@@ -356,7 +349,7 @@ def test_ten_pi_pulse_on_pair_state():
 
 def test_antisymmetric_pair_is_dark():
     ens = make_ensemble(3, seed=18)
-    dark = CollectiveState({
+    dark = collective_state({
         ((0, "r"), (1, "g2")): 1 / math.sqrt(2),
         ((0, "g2"), (1, "r")): -1 / math.sqrt(2),
     })
@@ -478,7 +471,7 @@ def test_array_engine_matches_the_dict_engine(n, seed, sigma, model, ops):
     ens = make_ensemble(n, seed, sigma, k=np.array([8.0, 0.7, 0.0]))
     state, oracle = vacuum_state(), _dict_memory.vacuum_state()
     for op in ops:
-        before = CollectiveState(dict(oracle.amplitudes))  # the oracle's input, same bits
+        before = collective_state(oracle.amplitudes)  # the oracle's input, same bits
         got, err = _outcome(paqsim.memory, state, op, ens, model)
         want, want_err = _outcome(_dict_memory, oracle, op, ens, model)
         assert err == want_err
@@ -547,6 +540,58 @@ def test_scheme1_cp_micro_is_pinned_bit_for_bit():
     assert digest.hexdigest() == "a86dd7ac034a4a4336e3e40677f1448a476c41773bda4a7a5b7d561e6b24e21e"
 
 
+def _two_photon_read_corpus(count=400):
+    """Seeded two-excitation reads: each blockade model, 2-39 atoms, zero to
+    two pulses before the read, eta in [0, 1], and one read in three taken
+    in an off-mode wavevector. One in four second writes lands on a
+    vacuum-plus-single superposition, so the read also leaves a vacuum."""
+    rng = np.random.default_rng(23)
+    for k in range(count):
+        n = int(rng.integers(2, 40))
+        radius, c6, sigma, eta = rng.uniform([0.3, 1.0, 0.3, 0.0], [4.0, 1e4, 3.0, 1.0]).tolist()
+        model = (Perfect(), HardSphere(radius), PowerLaw(c6))[k % 3]
+        ens = make_ensemble(n, 1000 + k, sigma, k=np.array([8.0, 0.7, 0.0]))
+        first = write_photon(ens)
+        if k % 4 == 3:
+            c = rng.uniform(0.2, 0.9)
+            single = np.zeros((n, 2), dtype=complex)
+            single[:, 0] = math.sqrt(1 - c * c) * np.exp(1j * rng.uniform(0, 6, n)) / math.sqrt(n)
+            first = CollectiveState._of(c, np.arange(n), single)
+        state = write_photon(ens, first)
+        for _ in range(k % 3):
+            area, det, phase = rng.uniform([0.0, -3.0, -7.0], [4 * math.pi, 3.0, 7.0]).tolist()
+            state = apply_collective_pulse(state, PulseSpec(area, det, phase), model, ens)
+        k_read = ens.wavevector + np.array([0.0, 1.3, 0.0]) if k % 3 == 2 else None
+        yield ens, state, eta, k_read
+    # three atoms whose phases k.r are multiples of pi/2: some remainder
+    # entries cancel to within PRUNE_TOL, so the pruning shows in the bits
+    lattice = EnsembleConfig(np.arange(9.0).reshape(3, 3), np.array([math.pi / 2, 0.0, 0.0]))
+    pair = write_photon(lattice, write_photon(lattice))
+    for area in (0.5, 1.0, 2.0, 3.0):
+        for phase in (0.0, math.pi / 2):
+            pulse = PulseSpec(area * math.pi, 0.0, phase)
+            yield lattice, apply_collective_pulse(pair, pulse, Perfect(), lattice), 1.0, None
+
+
+def test_two_photon_read_remainder_is_pinned_bit_for_bit():
+    # SHA-256 of each read's amplitude, the remainder's vacuum, its sectors
+    # and amplitudes in `order`, its sorted mapping, and the follow-on read,
+    # as the reads gave them when the remainder was built from a dict
+    digest = hashlib.sha256()
+    for ens, state, eta, k_read in _two_photon_read_corpus():
+        amp, left = read_photon(ens, state, eta, k_read)
+        parts = [np.complex128(amp), np.complex128(left.vacuum), left.atoms[left.order // 2],
+                 left.order % 2, left.single.flat[left.order]]
+        digest.update(b"".join(np.asarray(p).tobytes() for p in parts))
+        digest.update(repr(sorted(left.amplitudes.items())).encode())
+        try:
+            amp2, last = read_photon(ens, left, eta)
+            digest.update(np.complex128(amp2).tobytes() + repr(dict(last.amplitudes)).encode())
+        except EmptyMemoryError:
+            digest.update(b"empty")
+    assert digest.hexdigest() == "3fd3deaae574baa0dc09bb79bfd7ecc8d4ab4b3c7f4fd994b8dc52af519f6b92"
+
+
 def test_external_blockade_on_pairs_matches_the_dict_engine():
     ens = make_ensemble(7, seed=30, sigma=1.5)
     far = make_ensemble(4, seed=31, sigma=1.0, offset=(4.0, 0.0, 0.0))
@@ -599,7 +644,7 @@ def test_state_is_read_only_and_maps_back_in_sorted_order():
         state.amplitudes[()] = 1.0
     for arr in (state.atoms, state.single, state.pairs, state.pair, state.order):
         assert not arr.flags.writeable
-    mixed = CollectiveState({((2, "r"),): 0.6, (): 0.0, ((0, "g2"), (1, "r")): 0.8j})
+    mixed = collective_state({((2, "r"),): 0.6, (): 0.0, ((0, "g2"), (1, "r")): 0.8j})
     assert list(mixed.amplitudes) == [((0, "g2"), (1, "r")), ((2, "r"),)]
 
 

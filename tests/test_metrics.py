@@ -14,7 +14,6 @@ from paqsim import (
     StateVector,
     basis_avg_gate_fidelity,
     efficiency_basis_avg,
-    ghz_state,
     haar_exact_gate_fidelity,
     haar_weighted_gate_fidelity,
     init_basis,
@@ -22,10 +21,14 @@ from paqsim import (
     process_fidelity_postselected,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
-    state_fidelity_postselected,
 )
 
-from _oracles import _haar_chunk, haar_avg_gate_fidelity
+from _oracles import (
+    _haar_chunk,
+    ghz_state,
+    haar_avg_gate_fidelity,
+    state_fidelity_postselected,
+)
 
 # converged Monte Carlo reference values (2e6 samples, three seeds agreeing)
 HAAR_CNOT_033 = 0.893095

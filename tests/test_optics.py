@@ -8,11 +8,12 @@ from paqsim import (
     HADAMARD,
     PHASE,
     X90,
-    distance_up_to_global_phase,
     hwp,
     qwp,
 )
 from paqsim.optics import PLATES, _jones_stack, plate_gates
+
+from _oracles import distance_up_to_global_phase
 
 
 def jones_reference(delta, theta):

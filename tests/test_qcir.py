@@ -7,6 +7,7 @@ from paqsim import (
     CircuitIR,
     CircuitOp,
     ParseError,
+    build_ghz_circuit,
     parse_circuit,
     parse_timeline,
     serialize_circuit,
@@ -119,6 +120,15 @@ def test_parse_circuit_repeated_qubit():
     assert "distinct" in str(e)
 
 
+def test_circuits_past_the_dense_state_budget_round_trip():
+    # a circuit is a description: only running it forms a 2^n state
+    for n in (23, 30, 40):
+        circuit = build_ghz_circuit(n)
+        assert parse_circuit(serialize_circuit(circuit)) == circuit
+    assert CircuitIR(10**40, (CircuitOp("h", (10**40 - 1,)),)).n_qubits == 10**40
+    assert parse_circuit(f"qubits {'9' * 40}\nh 0\n").n_qubits == int("9" * 40)
+
+
 def test_circuit_round_trip_preserves_float_angles():
     circuit = CircuitIR(
         2,
@@ -222,6 +232,13 @@ def test_parse_timeline_unknown_statement_and_bad_count():
     assert "unknown statement 'blah'" in str(e)
     e = err(parse_timeline, "qms 0\n")
     assert (e.line, e.column) == (1, 5)
+    # a timeline holds one position per memory: past the dense-state budget
+    # it is refused at the count, before an n-long loop
+    for count in ("23", "100000000", "9" * 40):
+        e = err(parse_timeline, f"qms {count}\n")
+        assert (e.line, e.column) == (1, 5)
+        assert str(e).endswith(f"memory count must be <= 22, got {count}")
+    assert parse_timeline("qms 22\n").n_qms == 22
 
 
 @pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])

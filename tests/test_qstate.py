@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from paqsim import (
     HADAMARD,
     PHASE,
     X90,
+    CircuitIR,
     ConfigError,
     GateOpMatrix,
     StateVector,
+    TimelineProgram,
     cnot_from_cp,
     cp_model_scheme1,
     cp_model_scheme2,
@@ -21,6 +24,8 @@ from paqsim import (
     init_basis,
     lossy_cnot,
     cp_ideal_with_loss,
+    run_circuit,
+    run_timeline,
 )
 from paqsim.optics import plate_gates
 from paqsim.qstate import LIVE_FLOOR, STRIDED_BLOCK, STRIDED_MIN, STRIDED_STACKS
@@ -75,6 +80,32 @@ def test_state_vector_validation():
         StateVector(0, np.array([1.0]))
     with pytest.raises(ConfigError):
         StateVector(2, np.zeros(3))
+
+
+# each way a dense state of n qubits is asked for; a timeline needs one
+# position per memory, so it is asked for at the smaller sizes only
+OVERSIZED = {
+    "StateVector": lambda n: StateVector(n, np.zeros(4)),
+    "init_basis": lambda n: init_basis(n, "0"),
+    "run_circuit": lambda n: run_circuit(CircuitIR(n, ())),
+    "run_timeline": lambda n: run_timeline(TimelineProgram(n, ((0.0, 0.0),) * n), 0.9),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in OVERSIZED for n in (23, 40, 10**40)
+     if kind != "run_timeline" or n < 10**40],
+)
+def test_dense_states_past_the_qubit_budget_are_refused_before_allocating(kind, n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=rf"^dense states hold at most 22 qubits, got {n}$"):
+            OVERSIZED[kind](n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
