@@ -73,8 +73,6 @@ from .pulses import (
 from .qcir import (
     parse_circuit,
     parse_timeline,
-    serialize_circuit,
-    serialize_timeline,
 )
 from .qstate import (
     GateOpMatrix,
@@ -152,8 +150,6 @@ __all__ = [
     "scheme1_cp_matrix",
     "scheme1_cp_micro",
     "scheme2_cp_matrix",
-    "serialize_circuit",
-    "serialize_timeline",
     "two_level_propagator",
     "vacuum_state",
     "write_photon",

@@ -13,8 +13,8 @@ Everything is deterministic given the flags and seed; repeated runs emit
 byte-identical CSV/JSON on stdout. The Haar-average fidelity is the
 exact quadrature (metrics.haar_exact_gate_fidelity), so its stderr
 column is 0 and --samples/--seed are only echoed, once checked to be
->= 1 and >= 0. Anchor checks against known reference values are printed
-to stderr so stdout stays machine-parseable. Exit codes: 0 ok, 2 parse
+>= 1 and >= 0. Anchor checks against the ANCHORS reference values are
+printed to stderr so stdout stays machine-parseable. Exit codes: 0 ok, 2 parse
 error, 3 config error, 4 numeric failure.
 """
 
@@ -66,9 +66,25 @@ from .qstate import MAX_QUBITS, init_basis
 from .timeline import max_depth, run_timeline
 
 
-def _anchor(label: str, computed: float, target: str, ok: bool) -> None:
-    verdict = "PASS" if ok else "FAIL"
-    print(f"anchor {label}: computed {computed:.6g}, expected {target} -> {verdict}",
+# The one table of headline numbers, label -> (reference, bound); the
+# acceptance tests assert the same entries. A line reads PASS when
+# |computed - reference| <= bound.
+ANCHORS: dict[str, tuple[float, float]] = {
+    "eta=0.33 efficiency": (0.4422, 1e-4),
+    "eta=0.33 fidelity_basis": (0.9319, 1e-4),
+    "ghz3 eta=0.58 efficiency": (0.4170, 5e-4),
+    "ghz3 eta=0.58 fidelity": (0.901, 2e-3),
+    "ghz100 eta=0.9 fidelity": (0.4721, 5e-3),
+    "scheme2 pair return": (-0.97517, 1e-5),
+    "scheme2 leakage": (0.049025, 1e-5),
+    "scheme1 ideal CP": (0.0, 1e-12),  # largest |entry - CP entry|
+}
+
+
+def _anchor(label: str, computed: float) -> None:
+    reference, bound = ANCHORS[label]
+    verdict = "PASS" if abs(computed - reference) <= bound else "FAIL"
+    print(f"anchor {label}: computed {computed:.6g}, expected {reference:.6g} -> {verdict}",
           file=sys.stderr)
 
 
@@ -176,13 +192,13 @@ def _cmd_cnot_sweep(args) -> int:
 
     for eta, (basis, eff) in zip(grid, results):
         if abs(eta - 0.33) < 1e-9:
-            _anchor("eta=0.33 efficiency", eff, "0.44", abs(eff - 0.44) <= 5e-3)
-            _anchor("eta=0.33 fidelity_basis", basis, ">0.9", basis > 0.9)
+            _anchor("eta=0.33 efficiency", eff)
+            _anchor("eta=0.33 fidelity_basis", basis)
     return 0
 
 
 def _cmd_ghz(args) -> int:
-    topology = GhzTopology.from_name(args.topology)
+    topology = GhzTopology(args.topology)
     if args.method == "dense":
         fidelity, efficiency = ghz_dense_eval(args.n, args.eta, topology)
     else:
@@ -196,12 +212,12 @@ def _cmd_ghz(args) -> int:
         "method": args.method,
     }
     print(json.dumps(record))
-    if args.n == 3 and abs(args.eta - 0.58) < 1e-9:
-        _anchor("ghz3 eta=0.58 efficiency", efficiency, "0.42",
-                abs(efficiency - 0.42) <= 5e-3)
-        _anchor("ghz3 eta=0.58 fidelity", fidelity, ">0.9", fidelity >= 0.9)
-    if args.n == 100 and abs(args.eta - 0.9) < 1e-9:
-        _anchor("ghz100 eta=0.9 fidelity", fidelity, ">0.47", fidelity > 0.47)
+    star = topology is GhzTopology.STAR  # the GHZ references are star values
+    if star and args.n == 3 and abs(args.eta - 0.58) < 1e-9:
+        _anchor("ghz3 eta=0.58 efficiency", efficiency)
+        _anchor("ghz3 eta=0.58 fidelity", fidelity)
+    if star and args.n == 100 and abs(args.eta - 0.9) < 1e-9:
+        _anchor("ghz100 eta=0.9 fidelity", fidelity)
     return 0
 
 
@@ -243,15 +259,11 @@ def _cmd_pulse(args) -> int:
 
     if args.scheme == 2 and args.eta == 1.0 and args.area_pi == 10.0 \
             and math.isinf(b_over):
-        pair = gate.entries[3, 3].real
-        exact_leak = 1.0 - math.cos(5.0 * math.sqrt(2.0) * math.pi) ** 2
-        _anchor("scheme2 pair return", pair, "-0.97517", abs(pair + 0.97517) <= 1e-5)
-        _anchor("scheme2 leakage", leakage, "0.049025",
-                abs(leakage - exact_leak) <= 1e-5)
+        _anchor("scheme2 pair return", gate.entries[3, 3].real)
+        _anchor("scheme2 leakage", leakage)
     if args.scheme == 1 and args.eta == 1.0 and math.isinf(b_over) \
             and errors == (1.0, 1.0, 1.0):
-        dist = float(np.max(np.abs(gate.entries - CP.entries)))
-        _anchor("scheme1 ideal CP", dist, "diag(1,-1,-1,-1)", dist < 1e-12)
+        _anchor("scheme1 ideal CP", float(np.max(np.abs(gate.entries - CP.entries))))
     return 0
 
 

@@ -24,10 +24,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PostSelectionError
+from .metrics import _ZERO_NORM
 from .optics import PLATES
 from .pulses import _eta, scheme1_cp_matrix, scheme2_cp_matrix
-from .qstate import MAX_QUBITS, GateOpMatrix, StateVector, _as_index, _qubit_count, _trusted
+from .qstate import GateOpMatrix, StateVector, _as_index, _qubit_count, _trusted
 from .qstate import evolve, init_basis
 
 HADAMARD = GateOpMatrix(np.array([[1, 1], [1, -1]]) / math.sqrt(2))
@@ -53,9 +54,9 @@ class GateSpec(NamedTuple):
     build: Callable[[float | None, float, CpModel], GateOpMatrix]
 
 
-# The one list of .qc gate names: validation, execution, parsing and
-# serialization all read it. Builders take (angle_deg, eta, cp_model) and
-# look their callees up at call time, so a rebound cnot_from_cp is seen.
+# The one list of .qc gate names: validation, execution and parsing all
+# read it. Builders take (angle_deg, eta, cp_model) and look their
+# callees up at call time, so a rebound cnot_from_cp is seen.
 GATES: dict[str, GateSpec] = {
     "h": GateSpec(1, False, lambda a, eta, m: HADAMARD),
     "p": GateSpec(1, False, lambda a, eta, m: PHASE),
@@ -106,13 +107,6 @@ class CircuitIR:
 class GhzTopology(Enum):
     STAR = "star"
     CHAIN = "chain"
-
-    @classmethod
-    def from_name(cls, name: str) -> "GhzTopology":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ConfigError(f"unknown topology {name!r}; use star or chain") from None
 
 
 def cp_ideal_with_loss(eta: float) -> GateOpMatrix:
@@ -190,7 +184,6 @@ def build_ghz_circuit(n: int, topology: GhzTopology = GhzTopology.STAR) -> Circu
 
 
 def _ghz_amplitudes(n: int) -> np.ndarray:
-    _ghz_size(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return amps
@@ -237,11 +230,11 @@ def ghz_dense_eval(
     cp_model: CpModel = cp_ideal_with_loss,
 ) -> tuple[float, float]:
     """Full state-vector GHZ run; the transfer evaluator's oracle."""
-    if n > MAX_QUBITS:
-        raise ConfigError(f"dense GHZ capped at {MAX_QUBITS} qubits, got {n}")
+    _ghz_size(n)
+    _qubit_count(n)
     out = run_circuit(build_ghz_circuit(n, topology), eta, cp_model)
     prob = out.norm_sq
-    if prob <= 0.0:
-        raise ConfigError("GHZ branch has zero success probability")
+    if prob <= _ZERO_NORM:
+        raise PostSelectionError("GHZ branch has zero success probability")
     overlap = np.vdot(_ghz_amplitudes(n), out.amplitudes)
     return float(abs(overlap) ** 2 / prob), float(prob)

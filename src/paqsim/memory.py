@@ -65,6 +65,11 @@ RYDBERG_PRESENCE_TOL = 1e-9
 # 2 vCPU x86-64 host
 MAX_PAIRS = 1_999_000
 
+# largest ensemble, 24 B of positions per atom and a few N-arrays per op;
+# `micro write-2pi-read --atoms 14000000` peaks at 2,308 MiB RSS (7-9 s)
+# under a 3 GB address-space limit, where 14,500,000 atoms run out
+MAX_ATOMS = 14_000_000
+
 # (atom, external atom) distances per block in `_farthest_external`
 FAR_BLOCK = 1 << 16
 
@@ -112,6 +117,8 @@ def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np
     """Sample isotropic Gaussian atom positions, (N,3) in micrometers."""
     if _as_index(n_atoms, "atom count") < 1:
         raise ConfigError(f"need at least one atom, got {n_atoms}")
+    if n_atoms > MAX_ATOMS:
+        raise ConfigError(f"a cloud holds at most {MAX_ATOMS} atoms, got {n_atoms}")
     if not 0 <= sigma_um < math.inf:
         raise ConfigError(f"cloud sigma must be finite and >= 0, got {sigma_um}")
     if seed is not None and seed < 0:

@@ -254,7 +254,7 @@ def scheme2_cp_matrix(
 
     Single excitations return with cos(theta/2); the blockaded pair
     oscillates at sqrt(2)*Omega and returns with cos(sqrt(2)*theta/2)
-    under perfect blockade, -0.97517 at the default theta = 10*pi.
+    under perfect blockade: cli.ANCHORS' "scheme2 pair return" at 10*pi.
     """
     _eta(eta)
     if not area > 0:

@@ -1,4 +1,4 @@
-"""Parsers and serializers for the .qc circuit and .qtl timeline formats.
+"""Parsers for the .qc circuit and .qtl timeline formats.
 
 Both formats are flat and line-oriented: '#' starts a comment, tokens
 are whitespace-separated, gate names are case-insensitive, angles are in
@@ -19,7 +19,7 @@ column of the offending token and never return a partial program.
 
 The gate table paqsim.gates.GATES is the one source of .qc gate names,
 their qubit counts and which take an angle; paqsim.optics.PLATES is the
-one source of .qtl plate names. Both parsers and serializers read them.
+one source of .qtl plate names. Both parsers read them.
 
 Blockade reach for cp pairs is checked at run time with an inclusive
 (<=) comparison on center-to-center distance.
@@ -115,14 +115,6 @@ def parse_circuit(text: str) -> CircuitIR:
     return CircuitIR(n, tuple(ops))
 
 
-def serialize_circuit(circuit: CircuitIR) -> str:
-    lines = [f"qubits {circuit.n_qubits}"]
-    for op in circuit.ops:
-        angle = "" if op.angle_deg is None else f" {op.angle_deg:.17g}"
-        lines.append(" ".join([op.kind, *map(str, op.targets)]) + angle)
-    return "\n".join(lines) + "\n"
-
-
 def parse_timeline(text: str) -> TimelineProgram:
     lines, n = _header(text, "qms", "memory count", MAX_QUBITS)  # one position per memory
     positions: dict[int, tuple[float, float]] = {}
@@ -190,16 +182,3 @@ def parse_timeline(text: str) -> TimelineProgram:
 
     pos = tuple(positions.get(i, (0.0, 0.0)) for i in range(n))
     return TimelineProgram(n, pos, tuple(steps))
-
-
-def serialize_timeline(program: TimelineProgram) -> str:
-    lines = [f"qms {program.n_qms}"]
-    for i, (x, y) in enumerate(program.positions):
-        lines.append(f"pos {i} {x:.17g} {y:.17g}")
-    for step in program.steps:
-        lines.append("step:")
-        for q, plate in step.pmu_ops:
-            lines.append(f"pmu {q} {plate.kind} {plate.angle_deg:.17g}")
-        for a, b in step.cp_pairs:
-            lines.append(f"cp {a} {b}")
-    return "\n".join(lines) + "\n"

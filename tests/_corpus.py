@@ -1,4 +1,5 @@
-"""Seeded random program builders shared by the parser and acceptance tests."""
+"""Seeded random program builders and the serializers that write them out,
+shared by the parser and acceptance tests."""
 
 import random
 
@@ -50,3 +51,24 @@ def random_timeline(seed: int) -> TimelineProgram:
             cps.append((order.pop(), order.pop()))
         steps.append(TimelineStep(tuple(pmu), tuple(cps)))
     return TimelineProgram(n, positions, tuple(steps))
+
+
+def serialize_circuit(circuit: CircuitIR) -> str:
+    lines = [f"qubits {circuit.n_qubits}"]
+    for op in circuit.ops:
+        angle = "" if op.angle_deg is None else f" {op.angle_deg:.17g}"
+        lines.append(" ".join([op.kind, *map(str, op.targets)]) + angle)
+    return "\n".join(lines) + "\n"
+
+
+def serialize_timeline(program: TimelineProgram) -> str:
+    lines = [f"qms {program.n_qms}"]
+    for i, (x, y) in enumerate(program.positions):
+        lines.append(f"pos {i} {x:.17g} {y:.17g}")
+    for step in program.steps:
+        lines.append("step:")
+        for q, plate in step.pmu_ops:
+            lines.append(f"pmu {q} {plate.kind} {plate.angle_deg:.17g}")
+        for a, b in step.cp_pairs:
+            lines.append(f"cp {a} {b}")
+    return "\n".join(lines) + "\n"

@@ -26,7 +26,7 @@ import numpy as np
 
 import _dict_memory
 from paqsim.errors import ConfigError, PostSelectionError
-from paqsim.gates import _ghz_amplitudes
+from paqsim.gates import _ghz_amplitudes, _ghz_size
 from paqsim.memory import LEVELS, CollectiveState
 from paqsim.metrics import _ZERO_NORM
 from paqsim.pulses import _pair_drive, _pair_ladders
@@ -40,6 +40,7 @@ def apply_gate(state: StateVector, gate: GateOpMatrix, targets) -> StateVector:
 
 
 def ghz_state(n: int) -> StateVector:
+    _ghz_size(n)
     return StateVector(n, _ghz_amplitudes(n))
 
 

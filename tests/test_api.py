@@ -6,8 +6,9 @@ import types
 
 import paqsim
 
-# not exported: test oracles, which live in tests/_oracles.py, and
-# one-line twins of other calls
+# not exported: test oracles, which live in tests/_oracles.py, the
+# serializers, which live in tests/_corpus.py, and one-line twins of
+# other calls
 RETIRED = (
     "FidelityReport",
     "WavePlate",
@@ -20,6 +21,8 @@ RETIRED = (
     "pair_propagator",
     "scheme2_leakage",
     "scheme2_pair_return",
+    "serialize_circuit",
+    "serialize_timeline",
     "state_fidelity_postselected",
     "success_probability",
 )

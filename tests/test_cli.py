@@ -37,7 +37,8 @@ from paqsim import (
     scheme1_cp_matrix,
     scheme2_cp_matrix,
 )
-from paqsim.cli import main
+from paqsim.cli import ANCHORS, _anchor, main
+from paqsim.memory import MAX_ATOMS
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -167,8 +168,14 @@ def test_ghz_transfer_past_underflow(capsys, topology):
 
 
 def test_ghz_bad_sizes(capsys):
-    assert cli(capsys, "ghz", "--n", "1", "--eta", "0.9")[0] == 3
-    assert cli(capsys, "ghz", "--n", "23", "--eta", "0.9", "--method", "dense")[0] == 3
+    for argv, message in (
+        (("--n", "1"), "GHZ needs at least 2 qubits, got 1"),
+        (("--n", "1", "--method", "dense"), "GHZ needs at least 2 qubits, got 1"),
+        (("--n", "23", "--method", "dense"), "dense states hold at most 22 qubits, got 23"),
+    ):
+        code, out, err = cli(capsys, "ghz", *argv, "--eta", "0.9")
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"error: {message}"]
 
 
 def test_bad_choice_exits_through_argparse(capsys):
@@ -598,6 +605,80 @@ def test_micro_second_photon_over_pair_cap(capsys):
     ]
 
 
+@pytest.mark.parametrize("atoms", [MAX_ATOMS + 1, 10**9, 10**39], ids=["cap+1", "1e9", "40-digit"])
+def test_micro_atom_budget(capsys, atoms):
+    code, out, err = cli(capsys, "micro", "write-read", "--atoms", str(atoms))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: a cloud holds at most {MAX_ATOMS} atoms, got {atoms}"]
+
+
+# ------------------------------------------------------------------ anchors
+
+# where each ANCHORS label fires: its star operating point, under both ghz
+# methods where dense reaches it
+GHZ3 = ("ghz", "--n", "3", "--eta", "0.58", "--topology", "star")
+ANCHOR_POINTS = {
+    "eta=0.33 efficiency": [SWEEP_ARGS],
+    "eta=0.33 fidelity_basis": [SWEEP_ARGS],
+    "ghz3 eta=0.58 efficiency": [GHZ3 + ("--method", "dense"), GHZ3 + ("--method", "transfer")],
+    "ghz3 eta=0.58 fidelity": [GHZ3 + ("--method", "dense"), GHZ3 + ("--method", "transfer")],
+    "ghz100 eta=0.9 fidelity": [("ghz", "--n", "100", "--eta", "0.9", "--topology", "star")],
+    "scheme2 pair return": [("pulse", "--scheme", "2")],
+    "scheme2 leakage": [("pulse", "--scheme", "2")],
+    "scheme1 ideal CP": [("pulse", "--scheme", "1")],
+}
+
+
+def _anchor_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("anchor ")]
+
+
+@pytest.mark.parametrize("label", list(ANCHORS))
+def test_each_anchor_fires_once_and_passes(capsys, label):
+    reference = ANCHORS[label][0]
+    for argv in ANCHOR_POINTS[label]:
+        code, _, err = cli(capsys, *argv)
+        assert code == 0
+        mine = [line for line in _anchor_lines(err) if line.startswith(f"anchor {label}: ")]
+        assert len(mine) == 1, (argv, err)
+        assert mine[0].endswith(f", expected {reference:.6g} -> PASS"), (argv, err)
+
+
+def test_anchor_line_reads_fail_outside_its_bound(capsys):
+    reference, bound = ANCHORS["scheme2 leakage"]
+    _anchor("scheme2 leakage", reference + bound / 2)
+    _anchor("scheme2 leakage", reference - 2 * bound)
+    assert capsys.readouterr().err.splitlines() == [
+        "anchor scheme2 leakage: computed 0.04903, expected 0.049025 -> PASS",
+        "anchor scheme2 leakage: computed 0.049005, expected 0.049025 -> FAIL",
+    ]
+
+
+# the anchor-firing commands of the benchmark workloads, and the chain runs
+# at the GHZ operating points, with the anchor lines each prints: the GHZ
+# references are star values, which a chain falls outside
+ANCHOR_COMMANDS = [
+    (("ghz", "--n", "100", "--eta", "0.9", "--topology", "star"), 1),
+    (("ghz", "--n", "100", "--eta", "0.9", "--topology", "chain"), 0),
+    (("ghz", "--n", "3", "--eta", "0.58", "--topology", "chain", "--method", "transfer"), 0),
+    (("ghz", "--n", "3", "--eta", "0.58", "--topology", "chain", "--method", "dense"), 0),
+    (("pulse", "--scheme", "2", "--eta", "1.0"), 2),
+    (("pulse", "--scheme", "2", "--eta", "1.0", "--blockade", "hard:40", "--distance-um", "12.5"), 2),
+    (("pulse", "--scheme", "1", "--eta", "1.0"), 1),
+    (("cnot-sweep", "--eta-min", "0.03", "--eta-max", "0.93", "--steps", "31"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, count", ANCHOR_COMMANDS,
+                         ids=[" ".join(a) for a, _ in ANCHOR_COMMANDS])
+def test_anchor_commands_print_only_passing_anchors(capsys, argv, count):
+    code, _, err = cli(capsys, *argv)
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == len(_anchor_lines(err)) == count, err
+    assert all(line.endswith(" -> PASS") for line in lines), err
+
+
 # ---------------------------------------------------------- error handling
 
 
@@ -816,6 +897,7 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
     code, _, err = cli(capsys, *shlex.split(command))
     assert code == 0, err
+    assert not any(line.endswith("-> FAIL") for line in _anchor_lines(err)), err
 
 
 def test_readme_shows_every_subcommand():

@@ -33,12 +33,11 @@ from paqsim import (
     parse_timeline,
     qwp,
     run_circuit,
-    serialize_circuit,
-    serialize_timeline,
 )
 from paqsim.gates import GATES
 from paqsim.optics import PLATES
 
+from _corpus import serialize_circuit, serialize_timeline
 from _oracles import apply_gate
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -14,6 +14,7 @@ from paqsim import (
     ConfigError,
     GateOpMatrix,
     GhzTopology,
+    PostSelectionError,
     StateVector,
     build_ghz_circuit,
     cnot_from_cp,
@@ -236,13 +237,6 @@ def test_ghz_circuit_shapes():
         build_ghz_circuit(1)
 
 
-def test_topology_from_name():
-    assert GhzTopology.from_name("Star") is GhzTopology.STAR
-    assert GhzTopology.from_name("chain") is GhzTopology.CHAIN
-    with pytest.raises(ConfigError):
-        GhzTopology.from_name("ring")
-
-
 @pytest.mark.parametrize(
     "call",
     [
@@ -265,6 +259,12 @@ def test_numpy_sizes_keep_the_values():
     assert ghz_transfer_eval(np.int64(5), 0.9) == ghz_transfer_eval(5, 0.9)
     assert ghz_dense_eval(np.uint8(4), 0.8) == ghz_dense_eval(4, 0.8)
     assert CircuitIR(np.int32(2), ()).n_qubits == 2
+
+
+def test_ghz_dense_zero_branch_is_a_post_selection_failure():
+    dead = GateOpMatrix(np.zeros((4, 4)))
+    with pytest.raises(PostSelectionError, match="^GHZ branch has zero success probability$"):
+        ghz_dense_eval(3, 0.9, GhzTopology.STAR, lambda eta: dead)
 
 
 def test_ghz_state_shape():

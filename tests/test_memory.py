@@ -81,6 +81,24 @@ def test_gaussian_cloud_counts_and_signed_zero():
     np.testing.assert_array_equal(gaussian_cloud(3, -0.0, 1), np.zeros((3, 3)))
 
 
+def test_gaussian_cloud_refuses_over_the_atom_budget_before_drawing(monkeypatch):
+    cap = paqsim.memory.MAX_ATOMS
+    tracemalloc.start()
+    try:
+        for n in (cap + 1, 10**9, 10**39):
+            with pytest.raises(ConfigError, match=rf"^a cloud holds at most {cap} atoms, got {n}$"):
+                gaussian_cloud(n, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing of the (N,3) positions was allocated
+    # the bound is inclusive
+    monkeypatch.setattr(paqsim.memory, "MAX_ATOMS", 3)
+    assert gaussian_cloud(3, 1.0, seed=0).shape == (3, 3)
+    with pytest.raises(ConfigError):
+        gaussian_cloud(4, 1.0, seed=0)
+
+
 def test_rydberg_population_bookkeeping():
     s = collective_state({((0, "r"),): 0.6, ((1, "g2"),): 0.8})
     assert abs(s.rydberg_population() - 0.36) < 1e-15

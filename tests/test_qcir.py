@@ -3,6 +3,7 @@
 import pytest
 
 import _corpus
+from _corpus import serialize_circuit, serialize_timeline
 from paqsim import (
     CircuitIR,
     CircuitOp,
@@ -10,8 +11,6 @@ from paqsim import (
     build_ghz_circuit,
     parse_circuit,
     parse_timeline,
-    serialize_circuit,
-    serialize_timeline,
 )
 
 
