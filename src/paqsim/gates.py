@@ -113,7 +113,8 @@ def cp_ideal_with_loss(eta: float) -> GateOpMatrix:
     """diag(1,sqrt(eta),sqrt(eta),eta) applied to the ideal CP."""
     _eta(eta)
     s = math.sqrt(eta)
-    return GateOpMatrix(np.diag([1.0, -s, -s, -eta]))
+    # a checked eta makes it finite with entries in [-1, 1]: no norm check
+    return _trusted(np.diag([1.0, -s, -s, -eta]).astype(complex)[None])[0]
 
 
 def cp_model_scheme1(

@@ -9,23 +9,32 @@ Amplitudes are generally unnormalized: a lossy gate is a single
 post-selected Kraus branch, and the squared norm of the state is the
 probability that no photon was lost (coincidence-detection success).
 A GateOpMatrix is checked once, by its 2-norm; unitaries by construction
-(plates, pulse propagators, the CNOT sandwich) skip it via `_trusted`.
+(plates, pulse propagators, the CNOT sandwich) and the ideal lossy CP,
+a diagonal that a checked eta bounds, skip it via `_trusted`.
 
 `evolve` applies a whole op list on two private buffers and wraps the
 result in a StateVector once. From an init_basis state of at least
 SUPPORT_MIN qubits it works on the support of its input: init_basis
 marks its state with the basis index, so evolve knows every qubit's
 value without reading the amplitudes, and a qubit stays out of the
-buffers until an op touches it. Then the buffers grow by two: the old
-values go in the half of the qubit's value, zeros in the other, and the
-new axis goes just after the largest buffered qubit below it, so the
-qubits of a GHZ cascade stay in ascending runs. Any other input (every
-timeline step after the first) is evolved on full buffers. Between ops
-`evolve` keeps the buffered qubits in an axis order of its own
-(`order[a]` is the qubit stored along axis a); one transposed copy at
-the end writes them, in basis order, into the fixed-index view of a
-zeroed 2^n array (or into the spare buffer if no qubit stayed out). Each
-op makes at most one copy besides its growth, along one of two paths:
+buffers until an op touches it. Then the buffers grow by two: a fresh
+zeroed buffer takes the old values in the half of the qubit's value, a
+fresh spare comes with it, and the new axis goes just after the largest
+buffered qubit below it, so the qubits of a GHZ cascade stay in
+ascending runs. (Two buffers sized once for the final support fault in
+half as many fresh pages, but glibc then keeps more freed heap resident
+between calls: 193 against 169 MiB peak RSS on the dense benchmark.)
+Any other input (every timeline step after the first) is evolved on
+full buffers. Between ops `evolve` keeps the buffered qubits in an axis
+order of its own (`order[a]` is the qubit stored along axis a); one
+transposed copy at the end writes them, in basis order, into the
+fixed-index view of a zeroed 2^n array (or into the spare buffer if no
+qubit stayed out). numpy walks a copy in the destination's order, so a
+whole permuted buffer is read at long strides (2^10 amplitudes in the
+order a 22-qubit GHZ star leaves); above END_BLOCK amplitudes the copy
+therefore runs block by block, each block a contiguous source run that
+fits in L2. Each op makes at most one copy besides its growth, along
+one of two paths:
 
 - strided: a 2x2 gate, or a 4x4 that never flips its control (every CP
   model and every CNOT here), is one np.matmul per control value on a
@@ -68,6 +77,7 @@ n = 8, 0.95-0.98 and 1.02 at n = 10, 0.86-0.88 and 0.94-0.97 at n = 11.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -85,6 +95,11 @@ STRIDED_STACKS = 64  # up to this many stacked matmuls, strided beats a gather
 STRIDED_BLOCK = 128
 LIVE_FLOOR = 6  # the evolved buffers hold at least 2^LIVE_FLOOR amplitudes (module docstring)
 SUPPORT_MIN = 11  # qubits from which an init_basis input is evolved on its support
+# largest source block of the end copy into basis order (1 MiB). At n = 22,
+# in the order the GHZ star leaves, one copy takes 106 ms and blocks of
+# 2^10, 2^14, 2^16 and 2^18 amplitudes 227, 57, 43 and 72 ms; for the chain,
+# 103 against 42-44 ms at 2^15-2^16 (a plain 64 MiB copy: 9 ms)
+END_BLOCK = 1 << 16
 # largest dense state, measured end to end: `paqsim run` and `timeline` with
 # 2^n output amplitudes peak at 1.7 GB RSS for n = 22 and 3.4 GB for n = 23,
 # mostly the JSON, so n = 23 runs out under a 3 GB address-space limit
@@ -294,14 +309,19 @@ def evolve(
             order = list(targets) + [q for q in order if q not in targets]
         np.dot(m, cur.reshape(1 << k, -1), out=spare.reshape(1 << k, -1))
         cur, spare = spare, cur
-    if fixed or order != basis:  # one copy into basis order
-        shape = (2,) * len(order)
-        back = sorted(range(len(order)), key=order.__getitem__)  # the axis holding each qubit
+    if fixed or order != basis:  # one copy into basis order, block by block
         if fixed:  # around the qubits no op touched
             out = np.zeros(1 << n, dtype=complex)
-            np.copyto(_fixed_view(out, n, fixed), cur.reshape(shape).transpose(back))
+            dst = _fixed_view(out, n, fixed)
         else:
             out = spare
-            np.copyto(out.reshape(shape), cur.reshape(shape).transpose(back))
+            dst = out.reshape((2,) * n)
+        live = sorted(order)
+        dst = dst.transpose([live.index(q) for q in order])  # axis a holds qubit order[a]
+        src = cur.reshape((2,) * len(order))
+        # fixing the k leading axes leaves contiguous source blocks of END_BLOCK
+        k = max(cur.size // END_BLOCK, 1).bit_length() - 1
+        for lead in itertools.product((0, 1), repeat=k):
+            np.copyto(dst[lead], src[lead])
         cur = out
     return _frozen(n, cur)

@@ -97,6 +97,20 @@ def test_cnot_from_cp_keeps_the_bits_of_the_checked_product(model):
     assert np.abs(m.conj().T @ m - np.eye(4)).max() > 1e-12
 
 
+def test_cp_ideal_with_loss_keeps_the_bits_of_the_checked_build():
+    # built without GateOpMatrix's checks: same entries, -0.0 included
+    for eta in [*np.linspace(0.0, 1.0, 101), 5e-324, 1e-300, np.nextafter(1.0, 0.0)]:
+        s = math.sqrt(eta)
+        got = cp_ideal_with_loss(float(eta)).entries
+        want = GateOpMatrix(np.diag([1.0, -s, -s, -eta])).entries
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not got.flags.writeable
+    for eta in (-1e-12, -1.0, 1.0 + 1e-12, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^eta must be in"):
+            cp_ideal_with_loss(eta)
+
+
 def test_lossy_cnot_eta_zero_blocks():
     m = lossy_cnot(0.0).entries
     np.testing.assert_allclose(

@@ -27,6 +27,7 @@ from paqsim import (
     run_circuit,
     run_timeline,
 )
+from paqsim import qstate
 from paqsim.optics import plate_gates
 from paqsim.qstate import LIVE_FLOOR, STRIDED_BLOCK, STRIDED_MIN, STRIDED_STACKS
 
@@ -462,6 +463,70 @@ def test_evolve_keeps_an_untouched_basis_input_at_the_floor(monkeypatch):
     for gate, targets in ops:
         want = tensordot_reference(want, gate, targets, n)
     assert out.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(4, 6), st.booleans(), st.data())
+def test_the_blocked_end_copy_keeps_tensordot_bits(block_bits, basis, data):
+    # END_BLOCK lowered to 16..64 amplitudes, so these small states take the
+    # blocked end copy; basis inputs of SUPPORT_MIN qubits or more leave the
+    # untouched qubits fixed, and the copy writes around them
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if basis:
+        n = data.draw(st.integers(qstate.SUPPORT_MIN, 12))
+        state = init_basis(n, "".join(data.draw(st.sampled_from("01")) for _ in range(n)))
+        touched = data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, n))]
+    else:
+        n = data.draw(st.integers(2, 12))
+        state = random_state(rng, n)
+        touched = list(range(n))
+    ops = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        gate = circuit_gate(data, rng)
+        ops.append((gate, tuple(data.draw(st.permutations(touched))[: gate.arity])))
+    want = state.amplitudes
+    for gate, targets in ops:
+        want = tensordot_reference(want, gate, targets, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qstate, "END_BLOCK", 1 << block_bits)
+        got = evolve(state, ops).amplitudes
+    assert got.tobytes() == want.tobytes()
+
+
+def end_copies(monkeypatch, state, ops):
+    """The source sizes of the np.copyto calls after evolve's last multiply,
+    each checked to be one contiguous block."""
+    calls = []
+    for name in ("matmul", "dot", "copyto"):
+        real = getattr(np, name)
+        spy = lambda *a, name=name, real=real, **kw: calls.append((name, a[1])) or real(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(np, name, spy)
+    out = evolve(state, ops)
+    monkeypatch.undo()
+    last = max(i for i, (name, _) in enumerate(calls) if name != "copyto")
+    sources = [src for _, src in calls[last + 1:]]
+    assert all(src.flags.c_contiguous for src in sources)
+    return out, [src.size for src in sources]
+
+
+def test_the_end_copy_reads_one_block_at_a_time(monkeypatch):
+    # 20 qubits: every end copy reads at most END_BLOCK amplitudes, and
+    # together they read the buffer once
+    rng = np.random.default_rng(26)
+    n, block = 20, qstate.END_BLOCK
+    gathered = [(gate_of_kind("custom", rng), pair) for pair in ((5, 2), (19, 0), (7, 13))]
+    state = random_state(rng, n)
+    out, sizes = end_copies(monkeypatch, state, gathered)
+    assert max(sizes) <= block and sum(sizes) == 2**n and len(sizes) == 2**n // block
+    want = state.amplitudes
+    for gate, targets in gathered:
+        want = tensordot_reference(want, gate, targets, n)
+    assert out.amplitudes.tobytes() == want.tobytes()
+    # from a basis input, once with qubit 19 left at its value
+    cnots = [(lossy_cnot(0.8), (0, q)) for q in range(1, n)]
+    for ops, live in ((cnots, n), (cnots[:-1], n - 1)):
+        _, sizes = end_copies(monkeypatch, init_basis(n, "0" * n), [(HADAMARD, (0,))] + ops)
+        assert max(sizes) <= block and sum(sizes) == 2**live and len(sizes) == 2**live // block
 
 
 def test_evolve_validates_every_op():
