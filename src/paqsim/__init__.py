@@ -27,12 +27,11 @@ from .gates import (
     X90,
     CircuitIR,
     CircuitOp,
+    CpScheme,
     GhzTopology,
     build_ghz_circuit,
     cnot_from_cp,
     cp_ideal_with_loss,
-    cp_model_scheme1,
-    cp_model_scheme2,
     ghz_dense_eval,
     ghz_transfer_eval,
     lossy_cnot,
@@ -99,6 +98,7 @@ __all__ = [
     "CircuitOp",
     "CollectiveState",
     "ConfigError",
+    "CpScheme",
     "EmptyMemoryError",
     "EnsembleConfig",
     "GateOpMatrix",
@@ -126,8 +126,6 @@ __all__ = [
     "build_ghz_circuit",
     "cnot_from_cp",
     "cp_ideal_with_loss",
-    "cp_model_scheme1",
-    "cp_model_scheme2",
     "efficiency_basis_avg",
     "evolve",
     "gaussian_cloud",

@@ -9,6 +9,7 @@ Subcommands map one-to-one onto the engines:
     timeline     execute a .qtl recycling program
     micro        atom-level memory protocol driver
 
+pulse, run and timeline read their CP gate from one gates.CpScheme.
 Everything is deterministic given the flags and seed; repeated runs emit
 byte-identical CSV/JSON on stdout. The Haar-average fidelity is the
 exact quadrature (metrics.haar_exact_gate_fidelity), so its stderr
@@ -31,10 +32,9 @@ from .errors import ConfigError, PaqsimError
 from .gates import (
     CNOT,
     CP,
+    CP_KINDS,
+    CpScheme,
     GhzTopology,
-    cp_ideal_with_loss,
-    cp_model_scheme1,
-    cp_model_scheme2,
     ghz_dense_eval,
     ghz_transfer_eval,
     lossy_cnot,
@@ -79,6 +79,11 @@ ANCHORS: dict[str, tuple[float, float]] = {
     "scheme2 leakage": (0.049025, 1e-5),
     "scheme1 ideal CP": (0.0, 1e-12),  # largest |entry - CP entry|
 }
+
+# largest cnot-sweep grid, about 430 B of text and records per point: 1,000,000
+# points peak at 578 MiB of address space (140 s), 5,000,000 at 2,204 MiB
+# (11 min), and about 6,800,000 run out under a 3 GB address-space limit
+MAX_STEPS = 5_000_000
 
 
 def _anchor(label: str, computed: float) -> None:
@@ -152,15 +157,13 @@ def _echo_flags(args) -> None:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
 
 
-def _cp_model_from_args(args):
-    name = args.cp_model
-    if name == "ideal":
-        return cp_ideal_with_loss
-    if name == "scheme1":
-        return cp_model_scheme1(args.b_over_omega, _parse_three(args.area_errors, "area errors"))
-    if name == "scheme2":
-        return cp_model_scheme2(args.area_pi * math.pi, args.b_over_omega)
-    raise ConfigError(f"unknown cp model {name!r}")
+def _cp_scheme(args, kind: str, blockade=None) -> CpScheme:
+    """The one reader of the scheme flags; pulse's B/Omega defaults to the blockade's."""
+    b_over = args.b_over_omega
+    if b_over is None:
+        b_over = float(blockade.shift_over_rabi(args.distance_um))
+    errors = _parse_three(args.area_errors, "area errors")
+    return CpScheme(kind, b_over, errors, args.area_pi * math.pi)
 
 
 def _cmd_cnot_sweep(args) -> int:
@@ -169,8 +172,8 @@ def _cmd_cnot_sweep(args) -> int:
         raise ConfigError("eta bounds must lie in [0,1]")
     if args.eta_min >= args.eta_max:
         raise ConfigError("--eta-min must be strictly below --eta-max")
-    if args.steps < 1:
-        raise ConfigError(f"need at least one grid point, got {args.steps}")
+    if not 1 <= args.steps <= MAX_STEPS:  # before a grid array is formed
+        raise ConfigError(f"need 1 to {MAX_STEPS} grid points, got {args.steps}")
     grid = np.linspace(args.eta_min, args.eta_max, args.steps)
     results = []
     lines = ["eta,fidelity_basis,fidelity_haar,haar_stderr,efficiency,samples,seed"]
@@ -226,16 +229,9 @@ def _cmd_pulse(args) -> int:
     if not math.isfinite(args.area_pi):  # scheme 1 only echoes it
         raise ConfigError(f"--area-pi must be finite, got {args.area_pi}")
     blockade = _parse_blockade(args.blockade, args.rabi_mhz)
-    if args.b_over_omega is not None:
-        b_over = args.b_over_omega
-    else:
-        b_over = float(blockade.shift_over_rabi(args.distance_um))
-    errors = _parse_three(args.area_errors, "area errors")
-    if args.scheme == 1:
-        model = cp_model_scheme1(b_over, errors)
-    else:
-        model = cp_model_scheme2(args.area_pi * math.pi, b_over)
-    gate, ideal_ref = model(args.eta), model(1.0)
+    scheme = _cp_scheme(args, f"scheme{args.scheme}", blockade)
+    b_over = scheme.b_over_rabi
+    gate, ideal_ref = scheme.gate(args.eta), scheme.gate(1.0)
     leakage = 1.0 - abs(ideal_ref.entries[3, 3]) ** 2
 
     basis = basis_avg_gate_fidelity(gate, CP)
@@ -262,7 +258,7 @@ def _cmd_pulse(args) -> int:
         _anchor("scheme2 pair return", gate.entries[3, 3].real)
         _anchor("scheme2 leakage", leakage)
     if args.scheme == 1 and args.eta == 1.0 and math.isinf(b_over) \
-            and errors == (1.0, 1.0, 1.0):
+            and scheme.area_errors == (1.0, 1.0, 1.0):
         _anchor("scheme1 ideal CP", float(np.max(np.abs(gate.entries - CP.entries))))
     return 0
 
@@ -272,11 +268,11 @@ def _cmd_run(args) -> int:
     text = _read_text(args.circuit)
     _header(text, "qubits", "qubit count", MAX_QUBITS)  # a run forms the 2^n state
     circuit = parse_circuit(text)
-    model = _cp_model_from_args(args)
+    scheme = _cp_scheme(args, args.cp_model)
     initial = None
     if args.input is not None:
         initial = init_basis(circuit.n_qubits, args.input)
-    state = run_circuit(circuit, args.eta, model, initial)
+    state = run_circuit(circuit, args.eta, scheme, initial)
     record = {
         "n_qubits": circuit.n_qubits,
         "success_probability": state.norm_sq,
@@ -289,8 +285,8 @@ def _cmd_run(args) -> int:
 def _cmd_timeline(args) -> int:
     program = parse_timeline(_read_text(args.program))
     blockade = _parse_blockade(args.blockade, args.rabi_mhz)
-    model = _cp_model_from_args(args)
-    trace = run_timeline(program, args.eta, model, args.threshold, blockade)
+    scheme = _cp_scheme(args, args.cp_model)
+    trace = run_timeline(program, args.eta, scheme, args.threshold, blockade)
     depth = max_depth(args.eta, args.threshold, program.n_qms)
     record = {
         "n_qms": program.n_qms,
@@ -351,9 +347,18 @@ def _cmd_micro(args) -> int:
     return 0
 
 
+def _add_blockade_options(sub, default, with_distance=False):
+    sub.add_argument("--blockade", default=default,
+                     help="perfect | hard:<radius_um> | c6:<MHz.um6>")
+    if with_distance:
+        sub.add_argument("--distance-um", type=float, default=10.0,
+                         help="atom separation for finite-range blockade models")
+    sub.add_argument("--rabi-mhz", type=float, default=1.0)
+
+
 def _add_scheme_options(sub, with_model=True):
     if with_model:
-        sub.add_argument("--cp-model", choices=("ideal", "scheme1", "scheme2"),
+        sub.add_argument("--cp-model", choices=CP_KINDS,
                          default="ideal", help="CP gate realization")
     sub.add_argument("--area-pi", type=float, default=10.0,
                      help="scheme 2 pulse area in units of pi")
@@ -389,11 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     pulse = subs.add_parser("pulse", help="effective CP matrix of a scheme")
     pulse.add_argument("--scheme", type=int, required=True, choices=(1, 2))
     pulse.add_argument("--eta", type=float, default=1.0)
-    pulse.add_argument("--blockade", default="perfect",
-                       help="perfect | hard:<radius_um> | c6:<MHz.um6>")
-    pulse.add_argument("--distance-um", type=float, default=10.0,
-                       help="atom separation for finite-range blockade models")
-    pulse.add_argument("--rabi-mhz", type=float, default=1.0)
+    _add_blockade_options(pulse, "perfect", with_distance=True)
     pulse.add_argument("--samples", type=int, default=20_000)
     pulse.add_argument("--seed", type=int, default=0)
     _add_scheme_options(pulse, with_model=False)
@@ -410,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("program", help=".qtl file")
     timeline.add_argument("--eta", type=float, default=1.0)
     timeline.add_argument("--threshold", type=float, default=1e-6)
-    timeline.add_argument("--blockade", default="hard:40",
-                          help="perfect | hard:<radius_um> | c6:<MHz.um6>")
-    timeline.add_argument("--rabi-mhz", type=float, default=1.0)
+    _add_blockade_options(timeline, "hard:40")
     _add_scheme_options(timeline)
     timeline.set_defaults(func=_cmd_timeline)
 
@@ -424,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     micro.add_argument("--kvec", default="8.0,0,0",
                        help="photon wavevector, rad/um, comma-separated")
     micro.add_argument("--eta", type=float, default=1.0)
-    micro.add_argument("--blockade", default="perfect",
-                       help="perfect | hard:<radius_um> | c6:<MHz.um6>")
-    micro.add_argument("--rabi-mhz", type=float, default=1.0)
+    _add_blockade_options(micro, "perfect")
     micro.set_defaults(func=_cmd_micro)
 
     return parser

@@ -1,5 +1,6 @@
 """Lossy two-qubit gates, circuit IR, dense executor, and GHZ evaluators.
 
+Every engine and command reads its CP realisation from one `CpScheme`.
 The CP gate acts only on the V-polarized components, which are the only
 ones stored in a memory, so its post-selected branch carries the loss
 structure diag(1, sqrt(eta), sqrt(eta), eta). A CNOT is that CP
@@ -45,13 +46,11 @@ CNOT = GateOpMatrix(
 _CNOT_BEFORE = np.kron(np.eye(2), X90.entries @ PHASE.entries)
 _CNOT_AFTER = np.kron(np.eye(2), PHASE.entries @ X90.entries)
 
-CpModel = Callable[[float], GateOpMatrix]
-
 
 class GateSpec(NamedTuple):
     arity: int  # 1 or 2; a two-qubit gate reads (control, target)
     takes_angle: bool
-    build: Callable[[float | None, float, CpModel], GateOpMatrix]
+    build: Callable[[float | None, float, CpScheme], GateOpMatrix]
 
 
 # The one list of .qc gate names: validation, execution and parsing all
@@ -62,8 +61,8 @@ GATES: dict[str, GateSpec] = {
     "p": GateSpec(1, False, lambda a, eta, m: PHASE),
     "x90": GateSpec(1, False, lambda a, eta, m: X90),
     **{k: GateSpec(1, True, lambda a, eta, m, k=k: PLATES[k](a)) for k in PLATES},
-    "cp": GateSpec(2, False, lambda a, eta, m: m(eta)),
-    "cnot": GateSpec(2, False, lambda a, eta, m: cnot_from_cp(m(eta))),
+    "cp": GateSpec(2, False, lambda a, eta, m: m.gate(eta)),
+    "cnot": GateSpec(2, False, lambda a, eta, m: cnot_from_cp(m.gate(eta))),
 }
 
 _TARGETS = {1: "one target", 2: "two distinct targets"}
@@ -117,23 +116,30 @@ def cp_ideal_with_loss(eta: float) -> GateOpMatrix:
     return _trusted(np.diag([1.0, -s, -s, -eta]).astype(complex)[None])[0]
 
 
-def cp_model_scheme1(
-    blockade_shift_over_rabi: float = math.inf,
-    pulse_area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> CpModel:
-    def model(eta: float) -> GateOpMatrix:
-        return scheme1_cp_matrix(eta, blockade_shift_over_rabi, pulse_area_errors)
-
-    return model
+CP_KINDS = ("ideal", "scheme1", "scheme2")
 
 
-def cp_model_scheme2(
-    area: float = 10.0 * math.pi, b_over_rabi: float = math.inf
-) -> CpModel:
-    def model(eta: float) -> GateOpMatrix:
-        return scheme2_cp_matrix(eta, area, b_over_rabi)
+@dataclass(frozen=True)
+class CpScheme:
+    """One CP realisation: the lossy ideal gate, scheme 1 (reads B/Omega and
+    area errors) or scheme 2 (B/Omega, area in radians). Only the kind is
+    checked here; `gate(eta)` builds the branch and checks the rest."""
 
-    return model
+    kind: str = "ideal"
+    b_over_rabi: float = math.inf
+    area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    area: float = 10.0 * math.pi
+
+    def __post_init__(self):
+        if self.kind not in CP_KINDS:
+            raise ConfigError(f"unknown cp model {self.kind!r}; use {', '.join(CP_KINDS)}")
+
+    def gate(self, eta: float) -> GateOpMatrix:
+        if self.kind == "scheme1":
+            return scheme1_cp_matrix(eta, self.b_over_rabi, self.area_errors)
+        if self.kind == "scheme2":
+            return scheme2_cp_matrix(eta, self.area, self.b_over_rabi)
+        return cp_ideal_with_loss(eta)
 
 
 def cnot_from_cp(cp_gate: GateOpMatrix) -> GateOpMatrix:
@@ -152,7 +158,7 @@ def lossy_cnot(eta: float) -> GateOpMatrix:
 def run_circuit(
     circuit: CircuitIR,
     eta: float = 1.0,
-    cp_model: CpModel = cp_ideal_with_loss,
+    cp_model: CpScheme = CpScheme(),
     initial: StateVector | None = None,
 ) -> StateVector:
     """Apply every op in order; the result is an unnormalized branch.
@@ -228,7 +234,7 @@ def ghz_dense_eval(
     n: int,
     eta: float,
     topology: GhzTopology = GhzTopology.STAR,
-    cp_model: CpModel = cp_ideal_with_loss,
+    cp_model: CpScheme = CpScheme(),
 ) -> tuple[float, float]:
     """Full state-vector GHZ run; the transfer evaluator's oracle."""
     _ghz_size(n)

@@ -35,6 +35,11 @@ REACH_SHIFT_OVER_RABI = 100.0
 # shifts per stacked eigh in `pair_propagators`
 EIGH_BLOCK = 1 << 14
 
+# pair shifts B/Omega above this are full blockade: rr leakage (Omega/B)^2 and
+# pair phase area*Omega/(2B) fall far under rounding, while stacked eigh drops
+# the coupling from 4.7e299 on. Test and benchmark c6 shifts stay below 1e11
+BLOCKED_SHIFT_OVER_RABI = 1e30
+
 
 def _distance(distance_um) -> np.ndarray:
     """The one check on a blockade distance, or an array of them; NaN would
@@ -174,16 +179,16 @@ def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.n
 
     The symmetric ladder couples with matrix element sqrt(2)*Omega/2
     (collective enhancement); rr carries the blockade shift on top of
-    twice the laser detuning. An infinite shift reduces exactly to the
-    two-level {g2g2, sym} system at effective area sqrt(2)*area, with
-    rr frozen; an infinite detuning leaves every level alone (identity).
-    `detunings` is one value or one per shift. Finite pairs come from
-    stacked eigh calls, which give each the bits of a call on its own;
-    each infinite shift is one closed-form call, so pass distinct pairs.
+    twice the laser detuning. A shift over BLOCKED_SHIFT_OVER_RABI reduces
+    to the two-level {g2g2, sym} system at effective area sqrt(2)*area,
+    with rr frozen; an infinite detuning leaves every level alone. Other
+    pairs come from stacked eigh calls, which give each the bits of a call
+    on its own; each blocked pair is one closed-form call, so pass distinct
+    pairs. `detunings` is one value or one per shift.
     """
     shifts, det = _pair_drive(area, shifts, detunings, phase)
     out = np.empty(shifts.shape + (3, 3), dtype=complex)
-    idle, blocked = np.isinf(det), np.isinf(shifts)
+    idle, blocked = np.isinf(det), np.abs(shifts) > BLOCKED_SHIFT_OVER_RABI
     out[idle | blocked] = np.eye(3)
     for k in np.flatnonzero(blocked & ~idle):
         out[k, :2, :2] = two_level_propagator(

@@ -278,7 +278,8 @@ def evolve(
                     grown = np.zeros(2 * cur.size, dtype=complex)
                     half = grown.reshape(1 << at, 2, -1)[:, fixed.pop(q)]
                     np.copyto(half, cur.reshape(1 << at, -1))
-                    cur, spare = grown, np.empty_like(grown)
+                    cur = grown  # the old buffer goes before the new spare comes
+                    spare = np.empty_like(grown)
                     order.insert(at, q)
         axes = [order.index(q) for q in targets]
         m = gate.entries
@@ -300,6 +301,7 @@ def evolve(
                     a, b = a.swapaxes(1, 3), b.swapaxes(1, 3)
                 for v, block in enumerate(blocks):
                     np.matmul(block, a[:, v], out=b[:, v])
+                a = b = None  # views would keep both buffers alive through a growth
                 cur, spare = spare, cur
                 continue
         k = len(axes)

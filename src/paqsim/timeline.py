@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, GatePlacementError
-from .gates import CpModel, cp_ideal_with_loss
+from .gates import CpScheme
 from .optics import PLATES, plate_gates
 from .pulses import BlockadeModel, HardSphere
 from .qstate import StateVector, _as_index, _qubit_count, evolve, init_basis
@@ -132,7 +132,7 @@ def max_depth(eta: float, p: float, n_qubits: int = 1) -> int | None:
 def run_timeline(
     program: TimelineProgram,
     eta: float,
-    cp_model: CpModel = cp_ideal_with_loss,
+    cp_model: CpScheme = CpScheme(),
     stop_threshold: float = 1e-6,
     blockade: BlockadeModel | None = None,
     initial: StateVector | None = None,
@@ -145,7 +145,7 @@ def run_timeline(
     state = init_basis(n, "0" * n) if initial is None else initial
     if state.n_qubits != n:
         raise ConfigError("initial state size does not match program")
-    cp_gate = cp_model(1.0)
+    cp_gate = cp_model.gate(1.0)
 
     trace = TimelineTrace(final_state=state)
     cycle = eta**n

@@ -7,12 +7,15 @@ import types
 import paqsim
 
 # not exported: test oracles, which live in tests/_oracles.py, the
-# serializers, which live in tests/_corpus.py, and one-line twins of
-# other calls
+# serializers, which live in tests/_corpus.py, one-line twins of other
+# calls, and the CP closures that `CpScheme` replaced
 RETIRED = (
+    "CpModel",
     "FidelityReport",
     "WavePlate",
     "apply_gate",
+    "cp_model_scheme1",
+    "cp_model_scheme2",
     "distance_up_to_global_phase",
     "fit_pair_frequency",
     "ghz_state",

@@ -9,9 +9,9 @@ change to how amplitudes are moved must leave every bit where it was.
 The pins hold for OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels), the
 build the qstate docstring measured.
 
-The guards bound the tracemalloc peak of 20-qubit dense runs by the peak
-the same runs had when the pins were recorded, so an extra full-size
-buffer cannot appear unnoticed.
+The guards bound the tracemalloc peak of 20-qubit dense runs by the
+recorded peak of the same runs, so an extra full-size buffer cannot
+appear unnoticed.
 """
 
 import hashlib
@@ -25,11 +25,9 @@ import pytest
 from paqsim import (
     CircuitIR,
     CircuitOp,
+    CpScheme,
     GhzTopology,
     build_ghz_circuit,
-    cp_ideal_with_loss,
-    cp_model_scheme1,
-    cp_model_scheme2,
     ghz_dense_eval,
     init_basis,
     run_circuit,
@@ -38,9 +36,9 @@ from paqsim.gates import GATES
 
 GHZ_ETA = 0.9
 CP_MODELS = {
-    "ideal": cp_ideal_with_loss,
-    "scheme1": cp_model_scheme1(3.0, (1.02, 0.97, 1.01)),
-    "scheme2": cp_model_scheme2(7.0 * math.pi, 4.0),
+    "ideal": CpScheme(),
+    "scheme1": CpScheme("scheme1", 3.0, (1.02, 0.97, 1.01)),
+    "scheme2": CpScheme("scheme2", 4.0, area=7.0 * math.pi),
 }
 CIRCUIT_GROUPS = 4  # of 10 seeded circuits each
 
@@ -137,11 +135,13 @@ def circuit_20() -> CircuitIR:
     return CircuitIR(20, tuple(ops))
 
 
-# the largest of nine peaks recorded with the pins, in bytes: 64 and 48 MiB
-# of arrays plus a few KiB of objects. Peaks vary by a few hundred bytes
-# between runs, so the guard allows PEAK_SLACK over them: a sixteenth of
-# one end-copy block (1 MiB), and a 2^20-amplitude buffer is 16 MiB
-PEAKS = {"ghz_dense_eval": 67_118_747, "run_circuit": 50_351_113}
+# the largest of nine peaks, in bytes: 48 MiB of arrays (three 2^20-amplitude
+# buffers) plus a few KiB of objects. The GHZ peak was 64 MiB (67,118,747)
+# while a growth kept the previous level's buffers alive; it was re-recorded
+# when `evolve` let them go. Peaks vary by a few hundred bytes between runs,
+# so the guard allows PEAK_SLACK over them: a sixteenth of one end-copy
+# block (1 MiB), and a 2^20-amplitude buffer is 16 MiB
+PEAKS = {"ghz_dense_eval": 50_347_272, "run_circuit": 50_351_113}
 PEAK_SLACK = 1 << 16
 
 

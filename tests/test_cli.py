@@ -37,7 +37,7 @@ from paqsim import (
     scheme1_cp_matrix,
     scheme2_cp_matrix,
 )
-from paqsim.cli import ANCHORS, _anchor, main
+from paqsim.cli import ANCHORS, MAX_STEPS, _anchor, main
 from paqsim.memory import MAX_ATOMS
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -122,6 +122,14 @@ def test_cnot_sweep_bad_arguments(capsys):
     assert cli(capsys, "cnot-sweep", "--eta-max", "1.5")[0] == 3
     _, _, err = cli(capsys, "cnot-sweep", "--steps", "0")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+def test_cnot_sweep_grid_budget(capsys, steps):
+    # refused before np.linspace allocates the grid
+    code, out, err = cli(capsys, "cnot-sweep", "--steps", str(steps))
+    assert (code, out) == (3, "")
+    assert err == f"error: need 1 to {MAX_STEPS} grid points, got {steps}\n"
 
 
 # ----------------------------------------------------------------------- ghz
@@ -512,6 +520,21 @@ def test_timeline_reach_and_blockade_flags(tmp_path, capsys):
     assert cli(capsys, "timeline", str(path), "--blockade", "weird")[0] == 3
 
 
+@pytest.mark.parametrize("model", ["ideal", "scheme1", "scheme2"])
+@pytest.mark.parametrize("command, name, text", [
+    ("run", "cp.qc", "qubits 2\ncp 0 1\n"),
+    ("timeline", "cp.qtl", "qms 2\npos 1 10\nstep:\ncp 0 1\n"),
+])
+def test_malformed_area_errors_are_refused_under_every_model(
+        tmp_path, capsys, command, name, text, model):
+    # one reader parses the scheme flags, whichever model reads them
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = cli(capsys, command, str(path), "--cp-model", model, "--area-errors", "x")
+    assert (code, out) == (3, "")
+    assert err == "error: area errors need three comma-separated values, got 'x'\n"
+
+
 # --------------------------------------------------------------------- micro
 
 
@@ -593,6 +616,19 @@ def test_smallest_echo_flags_are_echoed_and_change_nothing_else(capsys):
     assert code == 0
     want = cli(capsys, "pulse", "--scheme", "1", "--samples", "7", "--seed", "0")[1]
     assert out == want.replace('"samples": 7,', '"samples": 1,')
+
+
+def test_micro_pair_at_a_huge_finite_blockade_reads_as_perfect(capsys):
+    # clouds 1e-50 um wide put c6 shifts near 1e280-1e300, where the pair
+    # ladder takes the blocked closed form
+    argv = ["micro", "write-write-10pi-read-read", "--atoms", "3", "--sigma-um", "1e-50",
+            "--seed", "1", "--blockade"]
+    reads = {}
+    for blockade in ("perfect", "c6:1", "c6:1e-20"):
+        code, out, _ = cli(capsys, *argv, blockade)
+        assert code == 0
+        reads[blockade] = json.loads(out)["reads"]
+    assert reads["c6:1"] == reads["c6:1e-20"] == reads["perfect"]
 
 
 def test_micro_second_photon_over_pair_cap(capsys):

@@ -20,14 +20,12 @@ from paqsim import (
     CircuitIR,
     CircuitOp,
     ConfigError,
+    CpScheme,
     PlateOp,
     StateVector,
     TimelineProgram,
     TimelineStep,
     cnot_from_cp,
-    cp_ideal_with_loss,
-    cp_model_scheme1,
-    cp_model_scheme2,
     hwp,
     parse_circuit,
     parse_timeline,
@@ -42,21 +40,21 @@ from _oracles import apply_gate
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
-# one explicit builder per table entry: (angle_deg, eta, cp_model) -> gate
+# one explicit builder per table entry: (angle_deg, eta, cp_scheme) -> gate
 EXPLICIT = {
     "h": lambda angle, eta, model: HADAMARD,
     "p": lambda angle, eta, model: PHASE,
     "x90": lambda angle, eta, model: X90,
     "qwp": lambda angle, eta, model: qwp(angle),
     "hwp": lambda angle, eta, model: hwp(angle),
-    "cp": lambda angle, eta, model: model(eta),
-    "cnot": lambda angle, eta, model: cnot_from_cp(model(eta)),
+    "cp": lambda angle, eta, model: model.gate(eta),
+    "cnot": lambda angle, eta, model: cnot_from_cp(model.gate(eta)),
 }
 
 CP_MODELS = {
-    "ideal": cp_ideal_with_loss,
-    "scheme1": cp_model_scheme1(3.0, (1.0, 0.98, 1.01)),
-    "scheme2": cp_model_scheme2(),
+    "ideal": CpScheme(),
+    "scheme1": CpScheme("scheme1", 3.0, (1.0, 0.98, 1.01)),
+    "scheme2": CpScheme("scheme2"),
 }
 
 
@@ -136,5 +134,5 @@ def test_table_entry_validates_targets_and_angle(kind):
 
 @pytest.mark.parametrize("plate", list(PLATES))
 def test_every_plate_is_a_gate(plate):
-    gate = GATES[plate].build(12.5, 1.0, cp_ideal_with_loss)
+    gate = GATES[plate].build(12.5, 1.0, CpScheme())
     np.testing.assert_array_equal(gate.entries, PLATES[plate](12.5).entries)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from paqsim import (
     CircuitIR,
     CircuitOp,
     ConfigError,
+    CpScheme,
     GateOpMatrix,
     GhzTopology,
     PostSelectionError,
@@ -19,16 +21,17 @@ from paqsim import (
     build_ghz_circuit,
     cnot_from_cp,
     cp_ideal_with_loss,
-    cp_model_scheme1,
-    cp_model_scheme2,
     ghz_dense_eval,
     ghz_transfer_eval,
     init_basis,
     lossy_cnot,
     qwp,
     run_circuit,
+    scheme1_cp_matrix,
+    scheme2_cp_matrix,
 )
-from paqsim.gates import PHASE, X90
+from paqsim import gates
+from paqsim.gates import CP_KINDS, PHASE, X90
 
 from _oracles import (
     apply_gate,
@@ -80,7 +83,7 @@ def test_lossy_cnot_against_explicit_product():
 
 @pytest.mark.parametrize(
     "model",
-    [cp_ideal_with_loss, cp_model_scheme1(3.0, (1.05, 0.97, 1.0)), cp_model_scheme2(10 * math.pi, 5.0)],
+    [CpScheme(), CpScheme("scheme1", 3.0, (1.05, 0.97, 1.0)), CpScheme("scheme2", 5.0, area=10 * math.pi)],
     ids=["ideal", "scheme1", "scheme2"],
 )
 def test_cnot_from_cp_keeps_the_bits_of_the_checked_product(model):
@@ -88,7 +91,7 @@ def test_cnot_from_cp_keeps_the_bits_of_the_checked_product(model):
     before = np.kron(np.eye(2), X90.entries @ PHASE.entries)
     after = np.kron(np.eye(2), PHASE.entries @ X90.entries)
     for eta in np.linspace(0.0, 1.0, 101):
-        cp = model(eta)
+        cp = model.gate(eta)
         got = cnot_from_cp(cp)
         want = GateOpMatrix(after @ cp.entries @ before).entries
         assert np.array_equal(got.entries.view(np.uint64), want.view(np.uint64))
@@ -214,13 +217,13 @@ def test_run_circuit_leaves_initial_untouched():
 def test_run_circuit_builds_each_distinct_gate_once():
     calls = []
 
-    def model(eta):
+    def gate(eta):
         calls.append(eta)
         return cp_ideal_with_loss(eta)
 
     ops = [CircuitOp("cp", (0, 1)), CircuitOp("cnot", (1, 2)), CircuitOp("cp", (2, 0))]
     ops += [CircuitOp("qwp", (0,), 30.0), CircuitOp("qwp", (1,), 30.0)]
-    out = run_circuit(CircuitIR(3, tuple(ops)), 0.5, model)
+    out = run_circuit(CircuitIR(3, tuple(ops)), 0.5, SimpleNamespace(gate=gate))
     assert calls == [0.5, 0.5]  # once for cp, once inside cnot
     step = init_basis(3, "000")
     for op in ops:
@@ -229,13 +232,45 @@ def test_run_circuit_builds_each_distinct_gate_once():
     np.testing.assert_array_equal(out.amplitudes, step.amplitudes)
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(CP_KINDS),
+    st.floats(0.0, 1e3) | st.just(math.inf),
+    st.tuples(*[st.floats(0.5, 1.5)] * 3),
+    st.floats(0.1, 100.0),
+    st.floats(0.0, 1.0),
+)
+def test_cp_scheme_gate_has_the_bits_of_the_direct_call(kind, b, errors, area, eta):
+    direct = {
+        "ideal": lambda: cp_ideal_with_loss(eta),
+        "scheme1": lambda: scheme1_cp_matrix(eta, b, errors),
+        "scheme2": lambda: scheme2_cp_matrix(eta, area, b),
+    }
+    got = CpScheme(kind, b, errors, area).gate(eta).entries
+    assert np.array_equal(got.view(np.uint64), direct[kind]().entries.view(np.uint64))
+
+
+def test_cp_scheme_checks_its_kind_and_builds_no_gate(monkeypatch):
+    assert CP_KINDS == ("ideal", "scheme1", "scheme2")
+    with pytest.raises(ConfigError, match="^unknown cp model 'scheme3'; use ideal, scheme1, scheme2$"):
+        CpScheme("scheme3")
+
+    def refuse(*args):
+        raise AssertionError("a gate was built")
+
+    for name in ("cp_ideal_with_loss", "scheme1_cp_matrix", "scheme2_cp_matrix"):
+        monkeypatch.setattr(gates, name, refuse)
+    for kind in CP_KINDS:
+        CpScheme(kind, 3.0, (1.0, 0.9, 1.0), 7.0)
+
+
 def test_scheme_cp_models_plug_in():
-    m1 = cp_model_scheme1()(1.0)
-    m2 = cp_model_scheme2()(1.0)
+    m1 = CpScheme("scheme1").gate(1.0)
+    m2 = CpScheme("scheme2").gate(1.0)
     assert np.abs(m1.entries - CP.entries).max() < 1e-12
     assert abs(m2.entries[3, 3] + 0.97517) < 1e-5
     circuit = CircuitIR(2, (CircuitOp("cp", (0, 1)),))
-    out = run_circuit(circuit, 1.0, cp_model_scheme2(), init_basis(2, "11"))
+    out = run_circuit(circuit, 1.0, CpScheme("scheme2"), init_basis(2, "11"))
     assert abs(out.amplitudes[3] - math.cos(5 * math.sqrt(2) * math.pi)) < 1e-12
 
 
@@ -278,7 +313,7 @@ def test_numpy_sizes_keep_the_values():
 def test_ghz_dense_zero_branch_is_a_post_selection_failure():
     dead = GateOpMatrix(np.zeros((4, 4)))
     with pytest.raises(PostSelectionError, match="^GHZ branch has zero success probability$"):
-        ghz_dense_eval(3, 0.9, GhzTopology.STAR, lambda eta: dead)
+        ghz_dense_eval(3, 0.9, GhzTopology.STAR, SimpleNamespace(gate=lambda eta: dead))
 
 
 def test_ghz_state_shape():
@@ -328,8 +363,8 @@ def test_ghz_dense_matches_transfer():
 
 def test_ghz_dense_fidelity_is_the_post_selected_state_fidelity():
     # ghz_dense_eval's inline fidelity has the bits of the oracle's definition
-    models = (cp_ideal_with_loss, cp_model_scheme1(3.0, (1.05, 0.97, 1.0)),
-              cp_model_scheme2(10.0 * math.pi, 5.0))
+    models = (CpScheme(), CpScheme("scheme1", 3.0, (1.05, 0.97, 1.0)),
+              CpScheme("scheme2", 5.0, area=10.0 * math.pi))
     for topo in GhzTopology:
         for n in range(2, 9):
             for model in models:

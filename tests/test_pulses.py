@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import _dict_memory
 from _oracles import fit_pair_frequency
@@ -325,6 +326,17 @@ def test_scheme2_numbers_at_ten_pi():
     assert abs(pair + 0.97517) < 1e-5
     leak = 1.0 - abs(pair) ** 2  # as `pulse` reports it
     assert abs(leak - (1 - math.cos(5 * SQRT2 * math.pi) ** 2)) < 1e-12
+
+
+@pytest.mark.parametrize("b", [10**299.7, 1e300, 1e306, 1e308])
+def test_scheme2_at_a_huge_finite_blockade_is_the_blocked_gate(b):
+    # stacked eigh drops the pair coupling from b ~ 4.7e299 and overflows
+    # from ~6e306; shifts this large take the blocked closed form
+    blocked = scheme2_cp_matrix(1.0, 10 * math.pi, math.inf).entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scheme2_cp_matrix(1.0, 10 * math.pi, b).entries
+    assert np.abs(got - blocked).max() <= 1e-15
 
 
 def test_scheme2_without_blockade_fails():

@@ -14,12 +14,11 @@ from paqsim import (
     X90,
     CircuitIR,
     ConfigError,
+    CpScheme,
     GateOpMatrix,
     StateVector,
     TimelineProgram,
     cnot_from_cp,
-    cp_model_scheme1,
-    cp_model_scheme2,
     evolve,
     init_basis,
     lossy_cnot,
@@ -407,9 +406,10 @@ def circuit_gate(data, rng):
     if model == "ideal":
         cp = cp_ideal_with_loss(eta)
     elif model == "scheme1":
-        cp = cp_model_scheme1(rng.uniform(0.5, 20), tuple(rng.uniform(0.9, 1.1, 3)))(eta)
+        cp = CpScheme("scheme1", rng.uniform(0.5, 20), tuple(rng.uniform(0.9, 1.1, 3))).gate(eta)
     else:
-        cp = cp_model_scheme2(rng.uniform(1, 12) * math.pi, rng.uniform(0.5, 20))(eta)
+        area = rng.uniform(1, 12) * math.pi
+        cp = CpScheme("scheme2", rng.uniform(0.5, 20), area=area).gate(eta)
     return cp if kind == "cp" else cnot_from_cp(cp)
 
 

@@ -1,6 +1,7 @@
 """Tests for the recyclable-memory timeline: depth law and execution."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,7 +323,7 @@ def test_gate_branch_norm_counts_toward_survival():
     trace = run_timeline(
         program,
         0.99,
-        cp_model=half_branch,
+        cp_model=SimpleNamespace(gate=half_branch),
         stop_threshold=0.3,
         initial=init_basis(2, "11"),
     )
