@@ -51,7 +51,6 @@ from .metrics import (
     basis_avg_gate_fidelity,
     efficiency_basis_avg,
     haar_exact_gate_fidelity,
-    haar_weighted_gate_fidelity,
     process_fidelity_postselected,
 )
 from .optics import (
@@ -132,7 +131,6 @@ __all__ = [
     "ghz_dense_eval",
     "ghz_transfer_eval",
     "haar_exact_gate_fidelity",
-    "haar_weighted_gate_fidelity",
     "hwp",
     "init_basis",
     "lossy_cnot",

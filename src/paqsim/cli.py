@@ -10,6 +10,9 @@ Subcommands map one-to-one onto the engines:
     micro        atom-level memory protocol driver
 
 pulse, run and timeline read their CP gate from one gates.CpScheme.
+pulse and run take its B/Omega from --b-over-omega (pulse defaults to the
+blockade's shift at --distance-um); timeline has no such flag, since
+run_timeline takes each CP pair's shift from its distance under --blockade.
 Everything is deterministic given the flags and seed; repeated runs emit
 byte-identical CSV/JSON on stdout. The Haar-average fidelity is the
 exact quadrature (metrics.haar_exact_gate_fidelity), so its stderr
@@ -158,7 +161,8 @@ def _echo_flags(args) -> None:
 
 
 def _cp_scheme(args, kind: str, blockade=None) -> CpScheme:
-    """The one reader of the scheme flags; pulse's B/Omega defaults to the blockade's."""
+    """The one reader of the scheme flags; pulse's B/Omega defaults to the
+    blockade's, and timeline's is inf, for run_timeline to fill in per pair."""
     b_over = args.b_over_omega
     if b_over is None:
         b_over = float(blockade.shift_over_rabi(args.distance_um))
@@ -356,7 +360,7 @@ def _add_blockade_options(sub, default, with_distance=False):
     sub.add_argument("--rabi-mhz", type=float, default=1.0)
 
 
-def _add_scheme_options(sub, with_model=True):
+def _add_scheme_options(sub, with_model=True, with_shift=True):
     if with_model:
         sub.add_argument("--cp-model", choices=CP_KINDS,
                          default="ideal", help="CP gate realization")
@@ -364,8 +368,9 @@ def _add_scheme_options(sub, with_model=True):
                      help="scheme 2 pulse area in units of pi")
     sub.add_argument("--area-errors", default="1,1,1",
                      help="scheme 1 per-pulse area multipliers e1,e2,e3")
-    sub.add_argument("--b-over-omega", type=float, default=math.inf,
-                     help="blockade shift over Rabi frequency")
+    if with_shift:
+        sub.add_argument("--b-over-omega", type=float, default=math.inf,
+                         help="blockade shift over Rabi frequency")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     timeline.add_argument("--eta", type=float, default=1.0)
     timeline.add_argument("--threshold", type=float, default=1e-6)
     _add_blockade_options(timeline, "hard:40")
-    _add_scheme_options(timeline)
-    timeline.set_defaults(func=_cmd_timeline)
+    _add_scheme_options(timeline, with_shift=False)
+    timeline.set_defaults(func=_cmd_timeline, b_over_omega=math.inf)
 
     micro = subs.add_parser("micro", help="atom-level memory protocol")
     micro.add_argument("ops", help="dash-separated ops, e.g. write-pi-2pi-pi-read")

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, PostSelectionError
 from .metrics import _ZERO_NORM
 from .optics import PLATES
-from .pulses import _eta, scheme1_cp_matrix, scheme2_cp_matrix
+from .pulses import _eta, _scheme1_args, _scheme2_args, scheme1_cp_matrix, scheme2_cp_matrix
 from .qstate import GateOpMatrix, StateVector, _as_index, _qubit_count, _trusted
 from .qstate import evolve, init_basis
 
@@ -122,8 +122,9 @@ CP_KINDS = ("ideal", "scheme1", "scheme2")
 @dataclass(frozen=True)
 class CpScheme:
     """One CP realisation: the lossy ideal gate, scheme 1 (reads B/Omega and
-    area errors) or scheme 2 (B/Omega, area in radians). Only the kind is
-    checked here; `gate(eta)` builds the branch and checks the rest."""
+    area errors) or scheme 2 (B/Omega, area in radians). The fields its kind
+    reads are checked here, as `gate(eta)` checks them, so a scheme whose
+    gate is never built is refused all the same."""
 
     kind: str = "ideal"
     b_over_rabi: float = math.inf
@@ -133,6 +134,10 @@ class CpScheme:
     def __post_init__(self):
         if self.kind not in CP_KINDS:
             raise ConfigError(f"unknown cp model {self.kind!r}; use {', '.join(CP_KINDS)}")
+        if self.kind == "scheme1":
+            _scheme1_args(self.b_over_rabi, self.area_errors)
+        elif self.kind == "scheme2":
+            _scheme2_args(self.area, self.b_over_rabi)
 
     def gate(self, eta: float) -> GateOpMatrix:
         if self.kind == "scheme1":

@@ -1,19 +1,16 @@
 """Fidelity and efficiency definitions for post-selected lossy gates.
 
-Four definitions are shipped, because a single headline "gate fidelity"
+Three definitions are shipped, because a single headline "gate fidelity"
 number is ambiguous once loss enters:
 
   basis_avg      mean post-selected fidelity over computational basis inputs
   haar_exact     mean post-selected fidelity over Haar-random pure inputs,
                  by quadrature of its exact one-dimensional integral
-  haar_weighted  Haar mean weighted by success probability, in closed form:
-                 E|<Uz|Mz>|^2 / E<Mz|Mz> = (|tr A|^2 + tr(A A^dag))
-                 / ((d+1) tr(M^dag M)) with A = U^dag M, which is
-                 (d * process + 1) / (d + 1) for unitary U
   process        |tr(U^dag M)|^2 / (d * tr(M^dag M))
 
-All of them equal 1 whenever M is proportional to U. The CLI reports
-basis_avg, haar_exact and process.
+All of them equal 1 whenever M is proportional to U, and the CLI reports
+all three. The Haar mean weighted by success probability, which is
+(d * process + 1) / (d + 1) for unitary U, is a test oracle only.
 """
 
 from __future__ import annotations
@@ -63,18 +60,6 @@ def _overlap(m: GateOpMatrix, u: GateOpMatrix, what: str):
 def process_fidelity_postselected(m: GateOpMatrix, u: GateOpMatrix) -> float:
     t, denom = _overlap(m, u, "process fidelity")
     return float(abs(np.trace(t)) ** 2 / (t.shape[0] * denom))
-
-
-def haar_weighted_gate_fidelity(m: GateOpMatrix, u: GateOpMatrix) -> float:
-    """Exact success-weighted Haar average of M against any U.
-
-    Nielsen, Phys. Lett. A 303, 249 (2002): the Haar means of
-    |<Uz|Mz>|^2 and <Mz|Mz> are (|tr A|^2 + tr(A A^dag)) / (d(d+1)) and
-    tr(M^dag M) / d, with A = U^dag M.
-    """
-    t, denom = _overlap(m, u, "success-weighted fidelity")
-    num = abs(np.trace(t)) ** 2 + float(np.sum(np.abs(t) ** 2))
-    return float(num / ((t.shape[0] + 1) * denom))
 
 
 # double-exponential rule on [0, inf): x = exp(pi/2 sinh u), u = k/16, |u| <= 6

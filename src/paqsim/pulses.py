@@ -12,6 +12,11 @@ overall -1, the sign the CP protocols rely on. An infinite detuning
 (perfect blockade) returns the identity: the blockaded limit. Propagators
 are unitary by construction and skip the gate check, as plates do.
 
+A blockade model maps an atom distance, or an array of them, to B/Omega.
+A timeline places a CP pair only where B/Omega >= REACH_SHIFT_OVER_RABI
+and runs its gate at that shift. The pulse command reads one at its
+--distance-um unless given --b-over-omega; run takes --b-over-omega alone.
+
 The 4x4 CP matrices are single post-selected branches on the photonic
 basis (|00>, |01>, |10>, |11>): memory loss contributes sqrt(eta) per
 stored photon and Rydberg leakage is discarded into the loss budget (a
@@ -28,8 +33,8 @@ import numpy as np
 from .errors import ConfigError
 from .qstate import GateOpMatrix, _trusted
 
-# blockade shift treated as operative for reach purposes once B/Omega
-# reaches this value (pulse leakage <= 1e-4)
+# a timeline places a CP pair only where its B/Omega reaches this value
+# (pulse leakage <= 1e-4)
 REACH_SHIFT_OVER_RABI = 100.0
 
 # shifts per stacked eigh in `pair_propagators`
@@ -97,9 +102,6 @@ class Perfect:
     def shift_over_rabi(self, distance_um):
         return np.full(_distance(distance_um).shape, math.inf)[()]
 
-    def reach_um(self) -> float:
-        return math.inf
-
 
 @dataclass(frozen=True)
 class HardSphere:
@@ -113,9 +115,6 @@ class HardSphere:
 
     def shift_over_rabi(self, distance_um):
         return np.where(_distance(distance_um) <= self.radius_um, math.inf, 0.0)[()]
-
-    def reach_um(self) -> float:
-        return self.radius_um
 
 
 @dataclass(frozen=True)
@@ -142,10 +141,6 @@ class PowerLaw:
         except OverflowError:
             return 0.0
         return self.c6_mhz_um6 / r6 / self.reference_rabi_mhz if r6 else math.inf
-
-    def reach_um(self) -> float:
-        # distance where B/Omega falls to the operative threshold
-        return (self.c6_mhz_um6 / (self.reference_rabi_mhz * REACH_SHIFT_OVER_RABI)) ** (1 / 6)
 
 
 # shift_over_rabi maps a distance, or an array of them, to B/Omega of that shape
@@ -224,6 +219,22 @@ def _pair_ladders(area: float, shifts, det, phase: float) -> np.ndarray:
     return ht
 
 
+def _scheme1_args(b_over_rabi: float, pulse_area_errors) -> None:
+    """The checks on scheme 1's shift and areas, in the order it reads them."""
+    _blockade_shift(b_over_rabi)
+    e1, e2, e3 = pulse_area_errors
+    for area in (math.pi * e1, math.pi * e3, 2.0 * math.pi * e2):
+        _area(area)
+
+
+def _scheme2_args(area: float, b_over_rabi: float) -> None:
+    """The checks on scheme 2's area and shift, in the order it reads them."""
+    if not area > 0:
+        raise ConfigError(f"pulse area must be > 0, got {area}")
+    _blockade_shift(b_over_rabi)
+    _area(area)
+
+
 def scheme1_cp_matrix(
     eta: float,
     blockade_shift_over_rabi: float = math.inf,
@@ -237,7 +248,7 @@ def scheme1_cp_matrix(
     +eta gate failure (the target 2pi completes and cancels the sign).
     """
     _eta(eta)
-    _blockade_shift(blockade_shift_over_rabi)
+    _scheme1_args(blockade_shift_over_rabi, pulse_area_errors)
     e1, e2, e3 = pulse_area_errors
     s = math.sqrt(eta)
     u1 = two_level_propagator(PulseSpec(math.pi * e1)).entries
@@ -262,9 +273,7 @@ def scheme2_cp_matrix(
     under perfect blockade: cli.ANCHORS' "scheme2 pair return" at 10*pi.
     """
     _eta(eta)
-    if not area > 0:
-        raise ConfigError(f"pulse area must be > 0, got {area}")
-    _blockade_shift(b_over_rabi)
+    _scheme2_args(area, b_over_rabi)
     s = math.sqrt(eta)
     single = two_level_propagator(PulseSpec(area)).entries[0, 0]
     pair = complex(pair_propagators(area, [b_over_rabi], 0.0)[0, 0, 0])

@@ -2,9 +2,11 @@
 
 Each step recycles every memory once (store and retrieve both
 polarization modes), so survival costs eta per memory per step no
-matter what the amplitudes are. CP gates between memories are allowed
-only within the blockade reach and are applied as unit-efficiency
-branches here; their own non-unitarity (scheme imperfections) shows up
+matter what the amplitudes are. A CP pair takes its blockade shift
+B/Omega from its distance under the blockade model: it is placed only
+where B/Omega >= pulses.REACH_SHIFT_OVER_RABI, and its gate is the cp
+model's at that shift. Gates are applied as unit-efficiency branches;
+their own non-unitarity (scheme imperfections, finite blockade) shows up
 through the branch norm, never as a second helping of eta.
 
 Execution stops before a step whose memory cycle alone would drop the
@@ -14,15 +16,16 @@ exactly max_depth steps.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, GatePlacementError
 from .gates import CpScheme
 from .optics import PLATES, plate_gates
-from .pulses import BlockadeModel, HardSphere
+from .pulses import REACH_SHIFT_OVER_RABI, BlockadeModel, HardSphere
 from .qstate import StateVector, _as_index, _qubit_count, evolve, init_basis
 
 
@@ -137,15 +140,37 @@ def run_timeline(
     blockade: BlockadeModel | None = None,
     initial: StateVector | None = None,
 ) -> TimelineTrace:
+    """Each CP pair's distance and shift are found once, at its first use
+    in either order; each distinct shift's gate is built once per call."""
     _eta_threshold(eta, stop_threshold)
     if blockade is None:
         blockade = HardSphere()
-    reach = blockade.reach_um()
+    if cp_model.b_over_rabi != math.inf:
+        raise ConfigError(
+            f"a timeline takes B/Omega from each pair's distance; "
+            f"the cp model's must be inf, got {cp_model.b_over_rabi}"
+        )
     n = _qubit_count(program.n_qms)
     state = init_basis(n, "0" * n) if initial is None else initial
     if state.n_qubits != n:
         raise ConfigError("initial state size does not match program")
-    cp_gate = cp_model.gate(1.0)
+    build = functools.cache(lambda b: replace(cp_model, b_over_rabi=b).gate(1.0))
+
+    @functools.cache
+    def shift(i: int, j: int) -> tuple[float, float]:
+        d = program.distance(i, j)
+        # a distance that overflows is past every model's reach
+        return d, float(blockade.shift_over_rabi(d)) if d < math.inf else 0.0
+
+    @functools.cache
+    def pair_gate(i: int, j: int):
+        d, b = shift(min(i, j), max(i, j))  # once for (i, j) and (j, i)
+        if not b >= REACH_SHIFT_OVER_RABI:
+            raise GatePlacementError(
+                f"cp pair ({i}, {j}) at {d:.6g} um exceeds blockade reach: "
+                f"B/Omega {b:.6g} < {REACH_SHIFT_OVER_RABI:.6g}"
+            )
+        return build(b)
 
     trace = TimelineTrace(final_state=state)
     cycle = eta**n
@@ -156,14 +181,7 @@ def run_timeline(
         # the step's plates from one array pass
         plates = plate_gates([(plate.kind, plate.angle_deg) for _, plate in step.pmu_ops])
         ops = [(gate, (q,)) for gate, (q, _) in zip(plates, step.pmu_ops)]
-        for i, j in step.cp_pairs:
-            d = program.distance(i, j)
-            if not d <= reach:
-                raise GatePlacementError(
-                    f"cp pair ({i}, {j}) at {d:.6g} um exceeds "
-                    f"blockade reach {reach:.6g} um"
-                )
-            ops.append((cp_gate, (i, j)))
+        ops += [(pair_gate(*pair), pair) for pair in step.cp_pairs]
         state = evolve(state, ops)
         norm_before, norm = norm, state.norm_sq
         survival = cycle * norm / norm_before

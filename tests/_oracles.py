@@ -2,10 +2,11 @@
 
 The CLI reports `paqsim.metrics.haar_exact_gate_fidelity`, a quadrature
 of an exact integral; the Monte Carlo average below is its independent
-check. `fit_pair_frequency` measures the sqrt(2)-enhanced pair
-oscillation from the ladder Hamiltonian that
-`paqsim.pulses.pair_propagators` exponentiates, so the ladder is written
-once. `apply_gate` is a one-op `evolve`. `ghz_state`,
+check. `haar_weighted_gate_fidelity` is the closed-form Haar average
+weighted by success probability, which no command reports.
+`fit_pair_frequency` measures the sqrt(2)-enhanced pair oscillation from
+the ladder Hamiltonian that `paqsim.pulses.pair_propagators`
+exponentiates, so the ladder is written once. `apply_gate` is a one-op `evolve`. `ghz_state`,
 `state_fidelity_postselected` and `distance_up_to_global_phase` are the
 plain definitions the gate and plate tests check against; `ghz_dense_eval`
 computes its fidelity inline. `collective_state` builds an atom-engine
@@ -28,7 +29,7 @@ import _dict_memory
 from paqsim.errors import ConfigError, PostSelectionError
 from paqsim.gates import _ghz_amplitudes, _ghz_size
 from paqsim.memory import LEVELS, CollectiveState
-from paqsim.metrics import _ZERO_NORM
+from paqsim.metrics import _ZERO_NORM, _overlap
 from paqsim.pulses import _pair_drive, _pair_ladders
 from paqsim.qstate import GateOpMatrix, StateVector, evolve
 
@@ -119,6 +120,18 @@ def _haar_chunk(a, b, seed, index, count):
     return float(f.sum()), float((f * f).sum()), int(ok.sum())
 
 
+def haar_weighted_gate_fidelity(m: GateOpMatrix, u: GateOpMatrix) -> float:
+    """Exact success-weighted Haar average of M against any U.
+
+    Nielsen, Phys. Lett. A 303, 249 (2002): the Haar means of
+    |<Uz|Mz>|^2 and <Mz|Mz> are (|tr A|^2 + tr(A A^dag)) / (d(d+1)) and
+    tr(M^dag M) / d, with A = U^dag M.
+    """
+    t, denom = _overlap(m, u, "success-weighted fidelity")
+    num = abs(np.trace(t)) ** 2 + float(np.sum(np.abs(t) ** 2))
+    return float(num / ((t.shape[0] + 1) * denom))
+
+
 def haar_avg_gate_fidelity(
     m: GateOpMatrix,
     u: GateOpMatrix,
@@ -128,8 +141,7 @@ def haar_avg_gate_fidelity(
     """Monte Carlo Haar-average post-selected fidelity of M against U.
 
     Every input's normalized output fidelity has equal weight; see
-    paqsim.metrics.haar_weighted_gate_fidelity for the success-weighted
-    average.
+    haar_weighted_gate_fidelity for the success-weighted average.
     """
     a, b = m.entries, u.entries
     if a.shape != b.shape:

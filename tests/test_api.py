@@ -20,6 +20,7 @@ RETIRED = (
     "fit_pair_frequency",
     "ghz_state",
     "haar_avg_gate_fidelity",
+    "haar_weighted_gate_fidelity",
     "jones_matrix",
     "pair_propagator",
     "scheme2_leakage",

@@ -1,5 +1,6 @@
 """Bit pins for the dense executor, recorded before `evolve`'s end copy was
-blocked, and memory guards for the same change.
+blocked, and memory guards for the same change; and bit pins for the
+timeline, recorded before each CP pair took its gate from its distance.
 
 Each pin is the SHA-256 of output bytes: `run_circuit` amplitudes and the
 two floats of `ghz_dense_eval` for GHZ star and chain at n = 11..18 under
@@ -27,10 +28,16 @@ from paqsim import (
     CircuitOp,
     CpScheme,
     GhzTopology,
+    HardSphere,
+    Perfect,
+    PlateOp,
+    TimelineProgram,
+    TimelineStep,
     build_ghz_circuit,
     ghz_dense_eval,
     init_basis,
     run_circuit,
+    run_timeline,
 )
 from paqsim.gates import GATES
 
@@ -151,3 +158,57 @@ PEAK_SLACK = 1 << 16
 ])
 def test_dense_runs_hold_no_extra_buffer(name, run):
     assert traced_peak(run) <= PEAKS[name] + PEAK_SLACK
+
+
+# Timeline pins: seeded programs shaped like the benchmark's timeline tasks
+# (memories in a 20 um box, a plate on every memory and one CP per four
+# memories each step) at 6, 10 and 14 memories, under the three CP models
+# and two blockade models that place every pair at B/Omega = inf. Each pin
+# hashes the final amplitude bytes and the per-step survival floats, so a
+# change to how a pair's gate is found must leave both where they were.
+TIMELINE_MODELS = {
+    "ideal": CpScheme(),
+    "scheme1": CpScheme("scheme1", area_errors=(1.02, 0.97, 1.01)),
+    "scheme2": CpScheme("scheme2", area=7.0 * math.pi),
+}
+TIMELINE_BLOCKADES = {"hard40": HardSphere(40.0), "perfect": Perfect()}
+TIMELINE_SIZES = (6, 10, 14)
+TIMELINE_STEPS = 30
+
+TIMELINE_PINS = {
+    ("hard40", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
+    ("hard40", "scheme1"): "5a3cc8f36f587588762cce2288a925fb20353ad1a79982606b53c751761333a6",
+    ("hard40", "scheme2"): "4756637df47fd53787074b2c18b2562eb8af921eb84b976a9dc70fa91846cf96",
+    ("perfect", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
+    ("perfect", "scheme1"): "5a3cc8f36f587588762cce2288a925fb20353ad1a79982606b53c751761333a6",
+    ("perfect", "scheme2"): "4756637df47fd53787074b2c18b2562eb8af921eb84b976a9dc70fa91846cf96",
+}
+
+
+def timeline_program(seed: int, n: int):
+    rng = random.Random(seed)
+    positions = tuple((round(rng.uniform(0, 20), 3), round(rng.uniform(0, 20), 3))
+                      for _ in range(n))
+    steps = []
+    for _ in range(TIMELINE_STEPS):
+        plates = tuple((q, PlateOp(rng.choice(("qwp", "hwp")), round(rng.uniform(0, 180), 3)))
+                       for q in range(n))
+        perm = rng.sample(range(n), n)
+        pairs = tuple((perm[2 * k], perm[2 * k + 1]) for k in range(n // 4))
+        steps.append(TimelineStep(plates, pairs))
+    return TimelineProgram(n, positions, tuple(steps)), rng.uniform(0.9995, 0.99999)
+
+
+def timeline_bytes(blockade: str, model: str):
+    for n in TIMELINE_SIZES:
+        program, eta = timeline_program(n, n)
+        trace = run_timeline(program, eta, TIMELINE_MODELS[model], 0.01,
+                             TIMELINE_BLOCKADES[blockade])
+        yield trace.final_state.amplitudes.tobytes()
+        yield struct.pack(f"<{len(trace.per_step_survival)}d", *trace.per_step_survival)
+
+
+@pytest.mark.parametrize("blockade", list(TIMELINE_BLOCKADES))
+@pytest.mark.parametrize("model", list(TIMELINE_MODELS))
+def test_timeline_bits_are_pinned(blockade, model):
+    assert digest(timeline_bytes(blockade, model)) == TIMELINE_PINS[blockade, model]

@@ -27,12 +27,17 @@ from paqsim import (
     ParseError,
     PostSelectionError,
     basis_avg_gate_fidelity,
+    evolve,
     ghz_transfer_eval,
+    GateOpMatrix,
     GhzTopology,
     PowerLaw,
     haar_exact_gate_fidelity,
+    hwp,
+    init_basis,
     lossy_cnot,
     parse_circuit,
+    qwp,
     run_circuit,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
@@ -535,6 +540,64 @@ def test_malformed_area_errors_are_refused_under_every_model(
     assert err == "error: area errors need three comma-separated values, got 'x'\n"
 
 
+BAD_SCHEME_FLAGS = [
+    (("scheme1", "--b-over-omega", "nan"), "blockade shift must be >= 0, got nan"),
+    (("scheme2", "--b-over-omega", "nan"), "blockade shift must be >= 0, got nan"),
+    (("scheme2", "--area-pi", "nan"), "pulse area must be > 0, got nan"),
+    (("scheme2", "--area-pi", "inf"), "pulse area must be finite and >= 0, got inf"),
+    (("scheme1", "--area-errors", "1,-1,1"),
+     f"pulse area must be finite and >= 0, got {-2 * math.pi}"),
+]
+CP_FREE = {"run": ("h.qc", "qubits 1\nh 0\n"),
+           "timeline": ("plates.qtl", "qms 1\nstep:\npmu 0 qwp 30\n")}
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    (command, flags, message) for command in CP_FREE for flags, message in BAD_SCHEME_FLAGS
+    if command == "run" or "--b-over-omega" not in flags  # timeline has no such flag
+])
+def test_scheme_flags_are_checked_without_a_cp(tmp_path, capsys, command, flags, message):
+    # a scheme is refused when it is formed, not when its first CP gate is built
+    name, text = CP_FREE[command]
+    path = tmp_path / name
+    path.write_text(text)
+    model, *rest = flags
+    code, out, err = cli(capsys, command, str(path), "--cp-model", model, *rest)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_timeline_has_no_b_over_omega_flag(tmp_path, capsys):
+    path = tmp_path / "cp.qtl"
+    path.write_text("qms 2\npos 1 10\nstep:\ncp 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["timeline", str(path), "--cp-model", "scheme1", "--b-over-omega", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --b-over-omega 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", [1, 2])
+@pytest.mark.parametrize("distance", ["0.9", "1.5"])
+def test_timeline_cp_is_the_pulse_gate_at_the_pair_distance(tmp_path, capsys, scheme, distance):
+    # plates spread both memories over all four basis states; the timeline's
+    # one step is then the pulse command's matrix between the same plates
+    blockade = ("--blockade", "c6:5000", "--rabi-mhz", "1.0")
+    code, out, _ = cli(capsys, "pulse", "--scheme", str(scheme), *blockade,
+                       "--distance-um", distance)
+    assert code == 0
+    matrix = np.array([[complex(*v) for v in row] for row in json.loads(out)["matrix"]])
+    path = tmp_path / "c6.qtl"
+    path.write_text(f"qms 2\npos 1 {distance}\nstep:\npmu 0 hwp 22.5\npmu 1 qwp 30\n"
+                    "cp 0 1\n")
+    code, out, _ = cli(capsys, "timeline", str(path), "--cp-model", f"scheme{scheme}", *blockade)
+    assert code == 0
+    want = evolve(init_basis(2, "00"), [(hwp(22.5), (0,)), (qwp(30.0), (1,)),
+                                        (GateOpMatrix(matrix), (0, 1))])
+    got = json.loads(out)["final_amplitudes"]
+    assert got == {format(k, "02b"): [a.real, a.imag]
+                   for k, a in enumerate(want.amplitudes.tolist())}
+
+
 # --------------------------------------------------------------------- micro
 
 
@@ -811,7 +874,7 @@ EXTREME_FILES = {
     "{qc}": ("x.qc", "qubits 2\nh 0\ncnot 0 1\nqwp 1 30\ncp 1 0\n"),
     "{qtl}": ("x.qtl", "qms 2\npos 1 10\nstep:\npmu 0 qwp 30\ncp 0 1\nstep:\ncp 1 0\n"),
 }
-_SCHEME_FLAGS = ("--eta", "--area-pi", "--b-over-omega", "--area-errors=1,{},1")
+_SCHEME_FLAGS = ("--eta", "--area-pi", "--area-errors=1,{},1")
 _BLOCKADE_FLAGS = ("--rabi-mhz", "--blockade=c6:{}", "--blockade=hard:{}")
 _MODELS = ("ideal", "scheme1", "scheme2")
 EXTREME_CASES = [  # (base argv, flags); a flag without "{}" takes "=value"
@@ -820,9 +883,11 @@ EXTREME_CASES = [  # (base argv, flags); a flag without "{}" takes "=value"
        ("--n", "--eta"))
       for method, topology in (("dense", "star"), ("transfer", "star"), ("transfer", "chain"))],
     *[(("pulse", f"--scheme={scheme}", f"--blockade={blockade}"),
-       _SCHEME_FLAGS + _BLOCKADE_FLAGS + ("--distance-um", "--samples", "--seed"))
+       _SCHEME_FLAGS + _BLOCKADE_FLAGS
+       + ("--b-over-omega", "--distance-um", "--samples", "--seed"))
       for scheme in "12" for blockade in ("perfect", "c6:100")],
-    *[(("run", "{qc}", f"--cp-model={model}"), _SCHEME_FLAGS) for model in _MODELS],
+    *[(("run", "{qc}", f"--cp-model={model}"), _SCHEME_FLAGS + ("--b-over-omega",))
+      for model in _MODELS],
     *[(("timeline", "{qtl}", f"--cp-model={model}"),
        _SCHEME_FLAGS + _BLOCKADE_FLAGS + ("--threshold",))
       for model in _MODELS],

@@ -15,7 +15,6 @@ from paqsim import (
     basis_avg_gate_fidelity,
     efficiency_basis_avg,
     haar_exact_gate_fidelity,
-    haar_weighted_gate_fidelity,
     init_basis,
     lossy_cnot,
     process_fidelity_postselected,
@@ -27,6 +26,7 @@ from _oracles import (
     _haar_chunk,
     ghz_state,
     haar_avg_gate_fidelity,
+    haar_weighted_gate_fidelity,
     state_fidelity_postselected,
 )
 

@@ -8,11 +8,15 @@ import pytest
 
 from paqsim import (
     ConfigError,
+    GatePlacementError,
     HardSphere,
     Perfect,
     PowerLaw,
     PulseSpec,
+    TimelineProgram,
+    TimelineStep,
     pair_propagators,
+    run_timeline,
     scheme1_cp_matrix,
     scheme2_cp_matrix,
     two_level_propagator,
@@ -103,21 +107,39 @@ def test_detuned_leakage_bound():
         assert worst <= 1.0 / (1.0 + det**2) + 1e-12
 
 
+def placed(blockade, distance_um: float) -> bool:
+    """Whether a timeline places a CP pair this far apart under `blockade`."""
+    program = TimelineProgram(
+        2, ((0.0, 0.0), (distance_um, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+    )
+    try:
+        run_timeline(program, 1.0, blockade=blockade)
+    except GatePlacementError:
+        return False
+    return True
+
+
 def test_blockade_models():
     assert Perfect().shift_over_rabi(1e9) == math.inf
-    assert Perfect().reach_um() == math.inf
+    # perfect blockade places a pair at any distance
+    assert all(placed(Perfect(), d) for d in (0.0, 40.0, 1e9, 1e300))
 
     hs = HardSphere(40.0)
     assert hs.shift_over_rabi(40.0) == math.inf  # boundary is inside
     assert hs.shift_over_rabi(40.000001) == 0.0
-    assert hs.reach_um() == 40.0
+    assert placed(hs, 40.0)
+    assert not placed(hs, math.nextafter(40.0, math.inf))
 
     pl = PowerLaw(1e8)
     assert abs(pl.shift_over_rabi(10.0) - 1e8 / 10.0**6) < 1e-9
     assert pl.shift_over_rabi(0.0) == math.inf
-    # reach: distance where the shift falls to 100x the Rabi frequency
-    r = pl.reach_um()
-    assert abs(pl.shift_over_rabi(r) - 100.0) < 1e-9
+    # a pair is placed while its shift is at least 100x the Rabi frequency,
+    # reached at 10 um, exactly: one ulp on either side crosses it
+    inside, outside = math.nextafter(10.0, 0.0), math.nextafter(10.0, math.inf)
+    assert pl.shift_over_rabi(inside) > 100.0 == pl.shift_over_rabi(10.0)
+    assert pl.shift_over_rabi(outside) < 100.0
+    assert placed(pl, 0.0) and placed(pl, inside) and placed(pl, 10.0)
+    assert not placed(pl, outside)
 
 
 def test_blockade_model_validation():

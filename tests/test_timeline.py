@@ -1,17 +1,22 @@
 """Tests for the recyclable-memory timeline: depth law and execution."""
 
 import math
-from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+import paqsim.gates
 from paqsim import (
     ConfigError,
+    CpScheme,
     GateOpMatrix,
     GatePlacementError,
     HardSphere,
+    Perfect,
     PlateOp,
+    PowerLaw,
     TimelineProgram,
     TimelineStep,
     cp_ideal_with_loss,
@@ -22,7 +27,9 @@ from paqsim import (
     qwp,
     run_timeline,
 )
+from paqsim.gates import CP_KINDS
 from paqsim.optics import PLATES
+from paqsim.pulses import REACH_SHIFT_OVER_RABI
 
 from _oracles import apply_gate
 
@@ -311,9 +318,11 @@ def test_random_plates_preserve_norm_at_unit_efficiency():
     assert trace.final_state.norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
-def test_gate_branch_norm_counts_toward_survival():
+def test_gate_branch_norm_counts_toward_survival(monkeypatch):
     def half_branch(_eta):
         return GateOpMatrix(np.diag([1, 1, 1, 0.5]).astype(complex))
+
+    monkeypatch.setattr(paqsim.gates, "cp_ideal_with_loss", half_branch)
 
     program = TimelineProgram(
         2,
@@ -323,7 +332,6 @@ def test_gate_branch_norm_counts_toward_survival():
     trace = run_timeline(
         program,
         0.99,
-        cp_model=SimpleNamespace(gate=half_branch),
         stop_threshold=0.3,
         initial=init_basis(2, "11"),
     )
@@ -342,7 +350,9 @@ def test_cp_reach_enforced():
     far = TimelineProgram(
         2, ((0.0, 0.0), (50.0, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
     )
-    with pytest.raises(GatePlacementError, match=r"cp pair \(0, 1\) at 50 um"):
+    with pytest.raises(GatePlacementError, match=(
+        r"^cp pair \(0, 1\) at 50 um exceeds blockade reach: B/Omega 0 < 100$"
+    )):
         run_timeline(far, 0.9)
     # a wider blockade sphere admits the same layout
     trace = run_timeline(far, 0.9, blockade=HardSphere(radius_um=60.0))
@@ -357,8 +367,11 @@ def test_cp_reach_rejects_nan_distance():
     program = TimelineProgram(
         2, ((-1e308, 0.0), (1e308, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
     )
-    with pytest.raises(GatePlacementError, match="at inf um"):
-        run_timeline(program, 0.9)
+    for blockade in (HardSphere(), PowerLaw(1e8), Perfect()):
+        with pytest.raises(GatePlacementError, match=(
+            r"^cp pair \(0, 1\) at inf um exceeds blockade reach: B/Omega 0 < 100$"
+        )):
+            run_timeline(program, 0.9, blockade=blockade)
 
 
 def test_run_timeline_validation():
@@ -373,3 +386,90 @@ def test_run_timeline_validation():
         run_timeline(program, 0.9, stop_threshold=1.0)
     with pytest.raises(ConfigError):
         run_timeline(program, 0.9, initial=init_basis(2, "00"))
+
+
+# ------------------------------------------------- gates from the layout
+
+
+def two_memory_cp(distance_um: float) -> TimelineProgram:
+    return TimelineProgram(
+        2, ((0.0, 0.0), (distance_um, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(("power", "hard", "perfect")),
+    st.floats(0.0, 1.0),
+    st.floats(1e2, 1e10),
+    st.sampled_from(CP_KINDS),
+    st.tuples(*[st.floats(0.5, 1.5)] * 3),
+    st.floats(0.5, 12.0),
+)
+def test_pair_gate_is_the_scheme_at_the_pair_shift(model, frac, scale, kind, errors, area_pi):
+    # scale is C6 for the power law and the radius for the hard sphere;
+    # frac places the pair inside the reach
+    blockade = {
+        "power": PowerLaw(scale),
+        "hard": HardSphere(scale),
+        "perfect": Perfect(),
+    }[model]
+    reach = (scale / REACH_SHIFT_OVER_RABI) ** (1 / 6) if model == "power" else scale
+    d = frac * reach
+    b = float(blockade.shift_over_rabi(d))
+    if b < REACH_SHIFT_OVER_RABI:  # a power-law reach rounded one ulp out
+        return
+    scheme = CpScheme(kind, area_errors=errors, area=area_pi * math.pi)
+    want = CpScheme(kind, b, errors, area_pi * math.pi).gate(1.0).entries
+    for k, bits in ((1, "01"), (2, "10"), (3, "11")):
+        trace = run_timeline(two_memory_cp(d), 1.0, scheme, blockade=blockade,
+                             initial=init_basis(2, bits))
+        got = trace.final_state.amplitudes
+        assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want[:, k]).view(np.uint64))
+
+
+def test_each_pair_is_placed_once_and_each_shift_built_once(monkeypatch):
+    class CountingBlockade:
+        def __init__(self, model):
+            self.model, self.distances = model, []
+
+        def shift_over_rabi(self, d):
+            self.distances.append(d)
+            return self.model.shift_over_rabi(d)
+
+    builds = []
+
+    def counting_scheme1(eta, b, errors):
+        builds.append(b)
+        return scheme1(eta, b, errors)
+
+    scheme1 = paqsim.gates.scheme1_cp_matrix
+    monkeypatch.setattr(paqsim.gates, "scheme1_cp_matrix", counting_scheme1)
+    # pairs (0, 1) and (2, 3) sit 2 um apart, (0, 2) 3 um apart
+    positions = ((0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (2.0, 3.0))
+    steps = [TimelineStep(cp_pairs=((0, 1), (2, 3))), TimelineStep(cp_pairs=((2, 0),)),
+             TimelineStep(cp_pairs=((1, 0), (3, 2))), TimelineStep(cp_pairs=((0, 2),))] * 2
+    blockade = CountingBlockade(PowerLaw(1e5))
+    run_timeline(TimelineProgram(4, positions, tuple(steps)), 0.99,
+                 CpScheme("scheme1"), blockade=blockade)
+    assert blockade.distances == [2.0, 2.0, 3.0]
+    assert builds == [1e5 / 2.0**6, 1e5 / 3.0**6]
+
+
+def test_a_cp_pair_runs_at_its_own_shift():
+    # under a power law the nearer pair is the better gate
+    near, far = (run_timeline(two_memory_cp(d), 1.0, CpScheme("scheme1"),
+                              blockade=PowerLaw(5000.0), initial=init_basis(2, "11"))
+                 for d in (0.7, 1.9))
+    assert abs(near.final_state.amplitudes[3] + 1) < abs(far.final_state.amplitudes[3] + 1)
+
+
+@pytest.mark.parametrize("kind", CP_KINDS)
+@pytest.mark.parametrize("b", [0.0, 3.0, 1e12])
+def test_run_timeline_refuses_a_scheme_with_its_own_shift(kind, b):
+    # a library caller's B/Omega is refused, never silently replaced
+    with pytest.raises(ConfigError, match=(
+        r"^a timeline takes B/Omega from each pair's distance; "
+        rf"the cp model's must be inf, got {b}$"
+    )):
+        run_timeline(idle_program(2, 1), 0.9, CpScheme(kind, b))
