@@ -79,9 +79,7 @@ from .qstate import (
     init_basis,
 )
 from .timeline import (
-    PlateOp,
     TimelineProgram,
-    TimelineStep,
     TimelineTrace,
     max_depth,
     run_timeline,
@@ -111,13 +109,11 @@ __all__ = [
     "PaqsimError",
     "ParseError",
     "Perfect",
-    "PlateOp",
     "PostSelectionError",
     "PowerLaw",
     "PulseSpec",
     "StateVector",
     "TimelineProgram",
-    "TimelineStep",
     "TimelineTrace",
     "X90",
     "apply_collective_pulse",

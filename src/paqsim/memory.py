@@ -110,7 +110,15 @@ class EnsembleConfig:
         k = self.wavevector if wavevector is None else np.asarray(wavevector, float)
         if not np.isfinite(k).all():  # a read may take k from outside the ensemble
             raise ConfigError(f"wavevector must be finite, got {k}")
-        return self.positions @ k
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            return _finite_phases(self.positions @ k)
+
+
+def _finite_phases(ph: np.ndarray) -> np.ndarray:
+    """The one check on photon phases, k.r_j or a pair's difference."""
+    if not np.isfinite(ph).all():
+        raise ConfigError("photon phase overflows; use a smaller wavevector or cloud")
+    return ph
 
 
 def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np.ndarray:
@@ -291,7 +299,8 @@ def write_photon(
         )
     pairs = np.stack(np.triu_indices(n, 1), axis=1)
     ph = ensemble.phases()
-    wave = np.exp(1j * (ph[pairs[:, 0]] - ph[pairs[:, 1]]))
+    with np.errstate(over="ignore"):  # refused below
+        wave = np.exp(1j * _finite_phases(ph[pairs[:, 0]] - ph[pairs[:, 1]]))
     pair = np.zeros((count, 4), dtype=complex)
     pair[:, 0] = _pruned(_cmul(overlap, wave) / math.sqrt(count))
     return CollectiveState._of(0j, np.arange(kept), single, pairs, pair)

@@ -19,10 +19,12 @@ column of the offending token and never return a partial program.
 
 The gate table paqsim.gates.GATES is the one source of .qc gate names,
 their qubit counts and which take an angle; paqsim.optics.PLATES is the
-one source of .qtl plate names. Both parsers read them.
+one source of .qtl plate names. Both parsers read them, and both emit
+gates.CircuitOp: a .qtl step is a tuple of a step's plate ops in file
+order, then its cp ops in file order.
 
-Blockade reach for cp pairs is checked at run time with an inclusive
-(<=) comparison on center-to-center distance.
+Blockade reach for cp pairs is checked at run time: a pair is placed
+where its B/Omega is >= pulses.REACH_SHIFT_OVER_RABI.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import ParseError
 from .gates import GATES, CircuitIR, CircuitOp
 from .optics import PLATES
 from .qstate import MAX_QUBITS
-from .timeline import PlateOp, TimelineProgram, TimelineStep
+from .timeline import TimelineProgram
 
 _TOKEN = re.compile(r"\S+")
 
@@ -118,15 +120,15 @@ def parse_circuit(text: str) -> CircuitIR:
 def parse_timeline(text: str) -> TimelineProgram:
     lines, n = _header(text, "qms", "memory count", MAX_QUBITS)  # one position per memory
     positions: dict[int, tuple[float, float]] = {}
-    steps: list[TimelineStep] = []
-    pmu: list[tuple[int, PlateOp]] = []
-    cps: list[tuple[int, int]] = []
+    steps: list[tuple[CircuitOp, ...]] = []
+    pmu: list[CircuitOp] = []
+    cps: list[CircuitOp] = []
     used: set[int] = set()
     in_step = False
 
     def flush():
         if in_step:
-            steps.append(TimelineStep(tuple(pmu), tuple(cps)))
+            steps.append((*pmu, *cps))  # a step's plates, then its cp pairs
             pmu.clear()
             cps.clear()
             used.clear()
@@ -160,7 +162,7 @@ def parse_timeline(text: str) -> TimelineProgram:
                     f"unknown wave plate {plate!r}", lineno, tokens[2][1]
                 )
             angle = _float(tokens[3][0], tokens[3][1], lineno, "angle")
-            pmu.append((i, PlateOp(plate, angle)))
+            pmu.append(CircuitOp(plate, (i,), angle))
         elif name == "cp":
             if not in_step:
                 raise ParseError("cp outside a step block", lineno, col)
@@ -175,7 +177,7 @@ def parse_timeline(text: str) -> TimelineProgram:
                     "pair in this step", lineno, col,
                 )
             used.update((a, b))
-            cps.append((a, b))
+            cps.append(CircuitOp("cp", (a, b)))
         else:
             raise ParseError(f"unknown statement {name!r}", lineno, col)
     flush()

@@ -1,11 +1,14 @@
-"""Recyclable-memory timeline computer: PMU steps, CP pairs, depth law.
+"""Recyclable-memory timeline computer: steps of circuit ops, depth law.
 
-Each step recycles every memory once (store and retrieve both
-polarization modes), so survival costs eta per memory per step no
-matter what the amplitudes are. A CP pair takes its blockade shift
-B/Omega from its distance under the blockade model: it is placed only
-where B/Omega >= pulses.REACH_SHIFT_OVER_RABI, and its gate is the cp
-model's at that shift. Gates are applied as unit-efficiency branches;
+A step is a tuple of gates.CircuitOp, the op type of circuits: wave
+plates (`CircuitOp("hwp", (q,), 22.5)`) and CP pairs
+(`CircuitOp("cp", (i, j))`), run in the order given; no memory is in
+two CP pairs of one step. Each step recycles every memory once (store
+and retrieve both polarization modes), so survival costs eta per memory
+per step no matter what the amplitudes are. A CP pair takes its blockade
+shift B/Omega from its distance under the blockade model: it is placed
+only where B/Omega >= pulses.REACH_SHIFT_OVER_RABI, and its gate is the
+cp model's at that shift. Gates are applied as unit-efficiency branches;
 their own non-unitarity (scheme imperfections, finite blockade) shows up
 through the branch norm, never as a second helping of eta.
 
@@ -23,53 +26,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GatePlacementError
-from .gates import CpScheme
+from .gates import CircuitIR, CircuitOp, CpScheme
 from .optics import PLATES, plate_gates
 from .pulses import REACH_SHIFT_OVER_RABI, BlockadeModel, HardSphere
 from .qstate import StateVector, _as_index, _qubit_count, evolve, init_basis
 
 
-@dataclass(frozen=True)
-class PlateOp:
-    kind: str
-    angle_deg: float
-
-    def __post_init__(self):
-        if self.kind not in PLATES:
-            raise ConfigError(f"unknown wave plate {self.kind!r}; use {' or '.join(PLATES)}")
-        if not math.isfinite(self.angle_deg):
-            raise ConfigError(f"wave-plate angle must be finite, got {self.angle_deg}")
-
-
-def _pair(item, what: str) -> tuple:
-    try:
-        first, second = item
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a pair, got {item!r}") from None
-    return first, second
-
-
-@dataclass(frozen=True)
-class TimelineStep:
-    """One recycling round: wave plates per memory, then CP pairs."""
-
-    pmu_ops: tuple[tuple[int, PlateOp], ...] = ()
-    cp_pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        pmu = tuple((_as_index(q, "pmu index"), plate)
-                    for q, plate in (_pair(op, "pmu op") for op in self.pmu_ops))
-        cps = tuple((_as_index(a, "cp index"), _as_index(b, "cp index"))
-                    for a, b in (_pair(pair, "cp pair") for pair in self.cp_pairs))
-        object.__setattr__(self, "pmu_ops", pmu)
-        object.__setattr__(self, "cp_pairs", cps)
+# the op kinds of a step: wave plates on one memory, CP pairs on two
+_STEP_KINDS = frozenset((*PLATES, "cp"))
 
 
 @dataclass(frozen=True)
 class TimelineProgram:
     n_qms: int
     positions: tuple[tuple[float, float], ...]
-    steps: tuple[TimelineStep, ...] = ()
+    steps: tuple[tuple[CircuitOp, ...], ...] = ()
 
     def __post_init__(self):
         n = _as_index(self.n_qms, "memory count")
@@ -82,23 +53,19 @@ class TimelineProgram:
             raise ConfigError(f"memory positions must be finite, got {pos}")
         object.__setattr__(self, "n_qms", n)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for step in self.steps:
-            used: set[int] = set()
-            for i, j in step.cp_pairs:
-                if i == j:
-                    raise ConfigError(f"cp pair ({i}, {j}) must be distinct")
-                for q in (i, j):
-                    if not 0 <= q < n:
-                        raise ConfigError(f"cp index {q} out of range")
-                    if q in used:
-                        raise ConfigError(f"memory {q} appears in two cp pairs of one step")
-                    used.add(q)
-            for q, plate in step.pmu_ops:
-                if not 0 <= q < n:
-                    raise ConfigError(f"pmu index {q} out of range")
-                if not isinstance(plate, PlateOp):
-                    raise ConfigError(f"pmu plate must be a PlateOp, got {plate!r}")
+        steps = tuple(tuple(step) for step in self.steps)
+        object.__setattr__(self, "steps", steps)
+        for step in steps:
+            cps: list[int] = []
+            for op in step:
+                if not (isinstance(op, CircuitOp) and op.kind in _STEP_KINDS):
+                    raise ConfigError(f"a step holds plate and cp CircuitOps, got {op!r}")
+                if op.kind == "cp":
+                    cps += op.targets
+            CircuitIR(n, step)
+            if len(set(cps)) < len(cps):
+                q = next(q for k, q in enumerate(cps) if q in cps[:k])
+                raise ConfigError(f"memory {q} appears in two cp pairs of one step")
 
     def distance(self, i: int, j: int) -> float:
         (xa, ya), (xb, yb) = self.positions[i], self.positions[j]
@@ -178,11 +145,10 @@ def run_timeline(
     for step in program.steps:
         if trace.cumulative_success * cycle < stop_threshold:
             break
-        # the step's plates from one array pass
-        plates = plate_gates([(plate.kind, plate.angle_deg) for _, plate in step.pmu_ops])
-        ops = [(gate, (q,)) for gate, (q, _) in zip(plates, step.pmu_ops)]
-        ops += [(pair_gate(*pair), pair) for pair in step.cp_pairs]
-        state = evolve(state, ops)
+        # the step's plates from one array pass, taken in op order
+        plates = iter(plate_gates([(op.kind, op.angle_deg) for op in step if op.kind != "cp"]))
+        state = evolve(state, [(pair_gate(*op.targets) if op.kind == "cp" else next(plates),
+                                op.targets) for op in step])
         norm_before, norm = norm, state.norm_sq
         survival = cycle * norm / norm_before
         trace.per_step_survival.append(float(survival))

@@ -3,7 +3,7 @@ shared by the parser and acceptance tests."""
 
 import random
 
-from paqsim import CircuitIR, CircuitOp, PlateOp, TimelineProgram, TimelineStep
+from paqsim import CircuitIR, CircuitOp, TimelineProgram
 
 _ANGLES = (0.0, 22.5, 45.0, 90.0, -17.25, 123.456789, 359.999, 1e-3)
 
@@ -38,18 +38,15 @@ def random_timeline(seed: int) -> TimelineProgram:
     )
     steps = []
     for _ in range(rng.randint(0, 5)):
-        pmu = []
+        step = []
         for _ in range(rng.randint(0, 4)):
-            pmu.append(
-                (rng.randrange(n), PlateOp(rng.choice(("qwp", "hwp")),
-                                           rng.uniform(-360, 360)))
-            )
+            q = rng.randrange(n)
+            step.append(CircuitOp(rng.choice(("qwp", "hwp")), (q,), rng.uniform(-360, 360)))
         order = list(range(n))
         rng.shuffle(order)
-        cps = []
         while len(order) >= 2 and rng.random() < 0.6:
-            cps.append((order.pop(), order.pop()))
-        steps.append(TimelineStep(tuple(pmu), tuple(cps)))
+            step.append(CircuitOp("cp", (order.pop(), order.pop())))
+        steps.append(tuple(step))
     return TimelineProgram(n, positions, tuple(steps))
 
 
@@ -67,8 +64,9 @@ def serialize_timeline(program: TimelineProgram) -> str:
         lines.append(f"pos {i} {x:.17g} {y:.17g}")
     for step in program.steps:
         lines.append("step:")
-        for q, plate in step.pmu_ops:
-            lines.append(f"pmu {q} {plate.kind} {plate.angle_deg:.17g}")
-        for a, b in step.cp_pairs:
-            lines.append(f"cp {a} {b}")
+        for op in step:
+            if op.kind == "cp":
+                lines.append(f"cp {op.targets[0]} {op.targets[1]}")
+            else:
+                lines.append(f"pmu {op.targets[0]} {op.kind} {op.angle_deg:.17g}")
     return "\n".join(lines) + "\n"

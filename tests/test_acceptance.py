@@ -38,7 +38,6 @@ from paqsim import (
     scheme2_cp_matrix,
     two_level_propagator,
     TimelineProgram,
-    TimelineStep,
 )
 from paqsim.cli import ANCHORS, main
 
@@ -276,7 +275,7 @@ def test_criterion_10_depth_law():
         program = TimelineProgram(
             n_qms,
             tuple((float(i), 0.0) for i in range(n_qms)),
-            tuple(TimelineStep() for _ in range(steps)),
+            ((),) * steps,
         )
         trace = run_timeline(program, eta)
         worst = max(

@@ -8,10 +8,13 @@ import paqsim
 
 # not exported: test oracles, which live in tests/_oracles.py, the
 # serializers, which live in tests/_corpus.py, one-line twins of other
-# calls, and the CP closures that `CpScheme` replaced
+# calls, the CP closures that `CpScheme` replaced, and the timeline op
+# types that `CircuitOp` replaced
 RETIRED = (
     "CpModel",
     "FidelityReport",
+    "PlateOp",
+    "TimelineStep",
     "WavePlate",
     "apply_gate",
     "cp_model_scheme1",

@@ -30,9 +30,8 @@ from paqsim import (
     GhzTopology,
     HardSphere,
     Perfect,
-    PlateOp,
+    PowerLaw,
     TimelineProgram,
-    TimelineStep,
     build_ghz_circuit,
     ghz_dense_eval,
     init_basis,
@@ -163,15 +162,18 @@ def test_dense_runs_hold_no_extra_buffer(name, run):
 # Timeline pins: seeded programs shaped like the benchmark's timeline tasks
 # (memories in a 20 um box, a plate on every memory and one CP per four
 # memories each step) at 6, 10 and 14 memories, under the three CP models
-# and two blockade models that place every pair at B/Omega = inf. Each pin
-# hashes the final amplitude bytes and the per-step survival floats, so a
-# change to how a pair's gate is found must leave both where they were.
+# and three blockade models: two place every pair at B/Omega = inf, and
+# under `c6` each pair runs its own gate at the B/Omega of its distance
+# (every pair of the 20 um box has B/Omega >= 1,950, so every pair is
+# placed). Each pin hashes the final amplitude bytes and the per-step
+# survival floats, so a change to how a pair's gate is found must leave
+# both where they were.
 TIMELINE_MODELS = {
     "ideal": CpScheme(),
     "scheme1": CpScheme("scheme1", area_errors=(1.02, 0.97, 1.01)),
     "scheme2": CpScheme("scheme2", area=7.0 * math.pi),
 }
-TIMELINE_BLOCKADES = {"hard40": HardSphere(40.0), "perfect": Perfect()}
+TIMELINE_BLOCKADES = {"hard40": HardSphere(40.0), "perfect": Perfect(), "c6": PowerLaw(1e12)}
 TIMELINE_SIZES = (6, 10, 14)
 TIMELINE_STEPS = 30
 
@@ -182,6 +184,9 @@ TIMELINE_PINS = {
     ("perfect", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
     ("perfect", "scheme1"): "5a3cc8f36f587588762cce2288a925fb20353ad1a79982606b53c751761333a6",
     ("perfect", "scheme2"): "4756637df47fd53787074b2c18b2562eb8af921eb84b976a9dc70fa91846cf96",
+    ("c6", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
+    ("c6", "scheme1"): "471a6af173908ec3d2b5ac595849f312ff69098077fbc05983a5bd13405df959",
+    ("c6", "scheme2"): "66f0d6017c8d18e58a586ecb59831ddf68c07677c7b1a5711a7c28a55c12460b",
 }
 
 
@@ -191,11 +196,11 @@ def timeline_program(seed: int, n: int):
                       for _ in range(n))
     steps = []
     for _ in range(TIMELINE_STEPS):
-        plates = tuple((q, PlateOp(rng.choice(("qwp", "hwp")), round(rng.uniform(0, 180), 3)))
+        plates = tuple(CircuitOp(rng.choice(("qwp", "hwp")), (q,), round(rng.uniform(0, 180), 3))
                        for q in range(n))
         perm = rng.sample(range(n), n)
-        pairs = tuple((perm[2 * k], perm[2 * k + 1]) for k in range(n // 4))
-        steps.append(TimelineStep(plates, pairs))
+        pairs = tuple(CircuitOp("cp", (perm[2 * k], perm[2 * k + 1])) for k in range(n // 4))
+        steps.append(plates + pairs)
     return TimelineProgram(n, positions, tuple(steps)), rng.uniform(0.9995, 0.99999)
 
 

@@ -185,6 +185,9 @@ def test_ghz_bad_sizes(capsys):
         (("--n", "1"), "GHZ needs at least 2 qubits, got 1"),
         (("--n", "1", "--method", "dense"), "GHZ needs at least 2 qubits, got 1"),
         (("--n", "23", "--method", "dense"), "dense states hold at most 22 qubits, got 23"),
+        # one past 2^53, and the size whose chain once ended in a traceback
+        *[(("--n", str(n), "--topology", topology), f"GHZ takes at most 2^53 = {2**53} qubits, got {n}")
+          for n in (2**53 + 1, 10**19) for topology in ("star", "chain")],
     ):
         code, out, err = cli(capsys, "ghz", *argv, "--eta", "0.9")
         assert (code, out) == (3, "")
@@ -711,6 +714,17 @@ def test_micro_atom_budget(capsys, atoms):
     assert err.splitlines() == [f"error: a cloud holds at most {MAX_ATOMS} atoms, got {atoms}"]
 
 
+@pytest.mark.parametrize("argv", [
+    "write-read --atoms 3 --sigma-um 1e10 --kvec 1e300,0,0",  # k.r overflows
+    "write-write --atoms 3 --sigma-um 1e10 --kvec 5e297,0,0 --seed 3",  # a pair's difference does
+    "write-write-pi-read-read --atoms 3 --sigma-um 1e10 --kvec 1e299,0,0",
+])
+def test_micro_refuses_an_overflowing_photon_phase(capsys, argv):
+    code, out, err = cli(capsys, "micro", *argv.split())
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: photon phase overflows; use a smaller wavevector or cloud"]
+
+
 # ------------------------------------------------------------------ anchors
 
 # where each ANCHORS label fires: its star operating point, under both ghz
@@ -894,6 +908,8 @@ EXTREME_CASES = [  # (base argv, flags); a flag without "{}" takes "=value"
     *[(("micro", "write-write-pi-read-read", "--atoms=3", f"--blockade={blockade}"),
        _BLOCKADE_FLAGS + ("--atoms", "--sigma-um", "--seed", "--eta", "--kvec={},0,0"))
       for blockade in ("perfect", "c6:100")],
+    # a wide cloud, so that a huge --kvec overflows k.r
+    (("micro", "write-write-pi-read-read", "--atoms=3", "--sigma-um=1e10"), ("--kvec={},0,0",)),
 ]
 
 
@@ -999,6 +1015,15 @@ def test_readme_commands_exit_0(tmp_path, monkeypatch, capsys, command):
     code, _, err = cli(capsys, *shlex.split(command))
     assert code == 0, err
     assert not any(line.endswith("-> FAIL") for line in _anchor_lines(err)), err
+
+
+README_PYTHON = [body for info, body in README_BLOCKS if info == "python"]
+
+
+@pytest.mark.parametrize("index", range(len(README_PYTHON)))
+def test_readme_library_examples_run(index):
+    code = compile(README_PYTHON[index], f"README.md python block {index}", "exec")
+    exec(code, {})  # a fresh namespace per block
 
 
 def test_readme_shows_every_subcommand():

@@ -21,10 +21,8 @@ from paqsim import (
     CircuitOp,
     ConfigError,
     CpScheme,
-    PlateOp,
     StateVector,
     TimelineProgram,
-    TimelineStep,
     cnot_from_cp,
     hwp,
     parse_circuit,
@@ -76,14 +74,15 @@ def circuits(draw):
 def timelines(draw):
     n = draw(st.integers(1, 5))
     positions = draw(st.lists(st.tuples(FINITE, FINITE), min_size=n, max_size=n))
-    plates = st.builds(PlateOp, st.sampled_from(list(PLATES)), FINITE)
+    plates = st.builds(lambda q, kind, angle: CircuitOp(kind, (q,), angle),
+                       st.integers(0, n - 1), st.sampled_from(list(PLATES)), FINITE)
     steps = []
     for _ in range(draw(st.integers(0, 4))):
-        pmu = draw(st.lists(st.tuples(st.integers(0, n - 1), plates), max_size=4))
+        pmu = draw(st.lists(plates, max_size=4))
         order = draw(st.permutations(range(n)))
         pairs = draw(st.integers(0, n // 2))
-        cps = [(order[2 * i], order[2 * i + 1]) for i in range(pairs)]
-        steps.append(TimelineStep(tuple(pmu), tuple(cps)))
+        cps = [CircuitOp("cp", (order[2 * i], order[2 * i + 1])) for i in range(pairs)]
+        steps.append((*pmu, *cps))
     return TimelineProgram(n, tuple(positions), tuple(steps))
 
 

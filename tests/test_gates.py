@@ -31,7 +31,7 @@ from paqsim import (
     scheme2_cp_matrix,
 )
 from paqsim import gates
-from paqsim.gates import CP_KINDS, PHASE, X90
+from paqsim.gates import CP_KINDS, MAX_GHZ, PHASE, X90
 
 from _oracles import (
     apply_gate,
@@ -386,6 +386,19 @@ def test_ghz_validation():
         ghz_transfer_eval(3, 1.5)
     with pytest.raises(ConfigError):
         cp_ideal_with_loss(-0.2)
+
+
+
+@pytest.mark.parametrize("topology", list(GhzTopology))
+def test_ghz_transfer_is_finite_at_the_size_budget(topology):
+    # warnings are errors in this suite, so an overflow in the matrix power fails here
+    assert MAX_GHZ == 2**53
+    for eta in [*np.linspace(0.0, 1.0, 201)[1:], 0.13, 1e-12, 5e-324]:
+        fid, eff = ghz_transfer_eval(MAX_GHZ, float(eta), topology)
+        assert 0.0 <= fid <= 1.0 and 0.0 <= eff <= 1.0
+    for size in (MAX_GHZ + 1, 2**62):
+        with pytest.raises(ConfigError, match=rf"^GHZ takes at most 2\^53 = {MAX_GHZ} qubits, got {size}$"):
+            ghz_transfer_eval(size, 0.5, topology)
 
 
 # ghz_transfer_eval as it read before it was made underflow-safe (direct

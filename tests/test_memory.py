@@ -248,6 +248,29 @@ def test_read_refuses_a_non_finite_wavevector(bad):
             read_photon(ens, state, 0.5, np.array([bad, 0.0, 0.0]))
 
 
+PHASE_OVERFLOW = "^photon phase overflows; use a smaller wavevector or cloud$"
+
+
+def test_phases_refuse_an_overflowing_k_dot_r():
+    # finite positions and k whose product overflows, to inf or inf - inf
+    for pos, k in (([[1e10, 0.0, 0.0]], [1e300, 0.0, 0.0]),
+                   ([[1e10, 1e10, 0.0]], [1e300, -1e300, 0.0])):
+        ens = EnsembleConfig(np.array(pos), np.array(k))
+        with pytest.raises(ConfigError, match=PHASE_OVERFLOW):
+            ens.phases()
+        with pytest.raises(ConfigError, match=PHASE_OVERFLOW):
+            write_photon(ens)
+
+
+def test_second_write_refuses_an_overflowing_pair_phase():
+    # each phase is +-1e308, finite; their difference is not
+    ens = EnsembleConfig(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]), np.array([1e308, 0.0, 0.0]))
+    assert np.isfinite(ens.phases()).all()
+    one = write_photon(ens)
+    with pytest.raises(ConfigError, match=PHASE_OVERFLOW):
+        write_photon(ens, one)
+
+
 # states holding an atom a 3-atom ensemble lacks (a single, a pair, an r
 # level), with the highest index the message must name
 FOREIGN = [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paqsim import (
+    CircuitOp,
     ConfigError,
     GatePlacementError,
     HardSphere,
@@ -14,7 +15,6 @@ from paqsim import (
     PowerLaw,
     PulseSpec,
     TimelineProgram,
-    TimelineStep,
     pair_propagators,
     run_timeline,
     scheme1_cp_matrix,
@@ -110,7 +110,7 @@ def test_detuned_leakage_bound():
 def placed(blockade, distance_um: float) -> bool:
     """Whether a timeline places a CP pair this far apart under `blockade`."""
     program = TimelineProgram(
-        2, ((0.0, 0.0), (distance_um, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((0.0, 0.0), (distance_um, 0.0)), ((CircuitOp("cp", (0, 1)),),)
     )
     try:
         run_timeline(program, 1.0, blockade=blockade)

@@ -166,18 +166,18 @@ step:
     assert program.positions == ((0.0, 0.0), (3.5, -2.0), (0.0, 0.0))
     assert len(program.steps) == 2
     first, second = program.steps
-    assert [(q, p.kind, p.angle_deg) for q, p in first.pmu_ops] == [
-        (0, "qwp", 45.0),
-        (0, "hwp", 22.5),
-    ]
-    assert first.cp_pairs == ((1, 2),)
-    assert second.cp_pairs == ((0, 1),)
+    assert first == (
+        CircuitOp("qwp", (0,), 45.0),
+        CircuitOp("hwp", (0,), 22.5),
+        CircuitOp("cp", (1, 2)),
+    )
+    assert second == (CircuitOp("cp", (0, 1)),)
 
 
 def test_parse_timeline_empty_steps_are_kept():
     program = parse_timeline("qms 1\nstep:\nstep:\n")
     assert len(program.steps) == 2
-    assert program.steps[0].pmu_ops == ()
+    assert program.steps[0] == ()
 
 
 def test_parse_timeline_missing_header():

@@ -1,6 +1,7 @@
 """Tests for the recyclable-memory timeline: depth law and execution."""
 
 import math
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,16 +10,16 @@ import pytest
 
 import paqsim.gates
 from paqsim import (
+    CircuitOp,
     ConfigError,
     CpScheme,
     GateOpMatrix,
     GatePlacementError,
     HardSphere,
     Perfect,
-    PlateOp,
     PowerLaw,
+    StateVector,
     TimelineProgram,
-    TimelineStep,
     cp_ideal_with_loss,
     evolve,
     hwp,
@@ -36,8 +37,12 @@ from _oracles import apply_gate
 
 def idle_program(n_qms, n_steps):
     positions = tuple((float(10 * k), 0.0) for k in range(n_qms))
-    steps = tuple(TimelineStep() for _ in range(n_steps))
-    return TimelineProgram(n_qms, positions, steps)
+    return TimelineProgram(n_qms, positions, ((),) * n_steps)
+
+
+def cps(*pairs):
+    """A step of CP pairs."""
+    return tuple(CircuitOp("cp", pair) for pair in pairs)
 
 
 # ---------------------------------------------------------------- max_depth
@@ -120,32 +125,31 @@ def test_program_validation():
     with pytest.raises(ConfigError):
         TimelineProgram(2, ((0.0, 0.0),))
     with pytest.raises(ConfigError):
-        TimelineProgram(2, ((0, 0), (1, 0)), (TimelineStep(cp_pairs=((0, 2),)),))
+        TimelineProgram(2, ((0, 0), (1, 0)), (cps((0, 2)),))
     with pytest.raises(ConfigError):
-        TimelineProgram(2, ((0, 0), (1, 0)), (TimelineStep(cp_pairs=((1, 1),)),))
-    with pytest.raises(ConfigError):
+        TimelineProgram(2, ((0, 0), (1, 0)), (cps((1, 1)),))
+    with pytest.raises(ConfigError, match="^memory 1 appears in two cp pairs of one step$"):
         TimelineProgram(
             3,
             ((0, 0), (1, 0), (2, 0)),
-            (TimelineStep(cp_pairs=((0, 1), (1, 2))),),
+            (cps((0, 1), (1, 2)),),
         )
-    with pytest.raises(ConfigError):
-        TimelineProgram(
-            1, ((0, 0),), (TimelineStep(pmu_ops=((3, PlateOp("hwp", 0.0)),)),)
-        )
+    with pytest.raises(ConfigError, match=r"^target 3 out of range for 1 qubits$"):
+        TimelineProgram(1, ((0, 0),), ((CircuitOp("hwp", (3,), 0.0),),))
 
 
 def test_plate_op_validation():
-    with pytest.raises(ConfigError):
-        PlateOp("polarizer", 10.0)
-    assert PlateOp("qwp", 45.0).angle_deg == 45.0
+    with pytest.raises(ConfigError, match="^unknown op kind 'polarizer'$"):
+        CircuitOp("polarizer", (0,), 10.0)
+    assert CircuitOp("qwp", (0,), 45.0).angle_deg == 45.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_run_timeline_rejects_non_finite_plate_angles(bad):
+    # the op refuses the angle, so no program can carry it to run_timeline
     with pytest.raises(ConfigError, match=r"^wave-plate angle must be finite, got "):
         run_timeline(
-            TimelineProgram(1, ((0.0, 0.0),), (TimelineStep(((0, PlateOp("qwp", bad)),)),)),
+            TimelineProgram(1, ((0.0, 0.0),), ((CircuitOp("qwp", (0,), bad),),)),
             0.9,
         )
 
@@ -154,32 +158,22 @@ POS2 = ((0.0, 0.0), (1.0, 0.0))
 
 
 def test_indices_must_be_integral():
-    with pytest.raises(ConfigError, match=r"^cp index must be an integer, got 0\.5$"):
-        TimelineStep(cp_pairs=((0.5, 1),))
-    with pytest.raises(ConfigError, match=r"^pmu index must be an integer, got 0\.5$"):
-        TimelineStep(pmu_ops=((0.5, PlateOp("hwp", 1.0)),))
+    with pytest.raises(ConfigError, match=r"^target must be an integer, got 0\.5$"):
+        CircuitOp("cp", (0.5, 1))
+    with pytest.raises(ConfigError, match=r"^target must be an integer, got 0\.5$"):
+        CircuitOp("hwp", (0.5,), 1.0)
     with pytest.raises(ConfigError, match=r"^memory count must be an integer, got 2\.0$"):
         TimelineProgram(2.0, POS2)
     with pytest.raises(ConfigError, match="must be an integer"):
-        run_timeline(
-            TimelineProgram(2, POS2, (TimelineStep(((0.5, PlateOp("hwp", 1.0)),)),)), 0.9
-        )
-
-
-def test_step_entries_must_be_pairs():
-    with pytest.raises(ConfigError, match=r"^pmu op must be a pair, got \(0,\)$"):
-        TimelineStep(pmu_ops=((0,),))
-    with pytest.raises(ConfigError, match=r"^cp pair must be a pair, got \(0, 1, 2\)$"):
-        TimelineStep(cp_pairs=((0, 1, 2),))
-    with pytest.raises(ConfigError, match="^cp pair must be a pair, got 3$"):
-        TimelineStep(cp_pairs=(3,))
+        run_timeline(TimelineProgram(2, POS2, ((CircuitOp("hwp", (0.5,), 1.0),),)), 0.9)
 
 
 def test_numpy_indices_keep_the_bits():
     def program(index):
-        step = TimelineStep(
-            ((index(1), PlateOp("hwp", 22.5)), (index(0), PlateOp("qwp", 30.0))),
-            ((index(0), index(1)),),
+        step = (
+            CircuitOp("hwp", (index(1),), 22.5),
+            CircuitOp("qwp", (index(0),), 30.0),
+            CircuitOp("cp", (index(0), index(1))),
         )
         return TimelineProgram(index(2), POS2, (step, step))
 
@@ -187,8 +181,7 @@ def test_numpy_indices_keep_the_bits():
     for index in (np.int64, np.int32, np.uint8):
         prog = program(index)
         assert prog == program(int)
-        assert all(type(q) is int for q, _ in prog.steps[0].pmu_ops)
-        assert all(type(q) is int for pair in prog.steps[0].cp_pairs for q in pair)
+        assert all(type(q) is int for op in prog.steps[0] for q in op.targets)
         got = run_timeline(prog, 0.9)
         assert got.per_step_survival == want.per_step_survival
         assert np.array_equal(
@@ -197,12 +190,15 @@ def test_numpy_indices_keep_the_bits():
 
 
 def test_program_rejects_what_run_timeline_cannot_run():
-    # run_timeline reads .kind and .angle_deg of every plate
-    with pytest.raises(ConfigError, match=r"^pmu plate must be a PlateOp, got \('hwp', 1\.0\)$"):
-        TimelineProgram(2, POS2, (TimelineStep(((0, ("hwp", 1.0)),)),))
+    # a step holds only plate and cp ops: run_timeline builds no other gate
+    for entry in ((0, ("hwp", 1.0)), (0,), 3, CircuitOp("h", (0,)), CircuitOp("cnot", (0, 1))):
+        with pytest.raises(ConfigError, match=(
+            rf"^a step holds plate and cp CircuitOps, got {re.escape(repr(entry))}$"
+        )):
+            TimelineProgram(2, POS2, ((CircuitOp("cp", (0, 1)), entry),))
     # a repeated memory is a pair that is not distinct, not two pairs
-    with pytest.raises(ConfigError, match=r"^cp pair \(1, 1\) must be distinct$"):
-        TimelineProgram(2, POS2, (TimelineStep(cp_pairs=((1, 1),)),))
+    with pytest.raises(ConfigError, match=r"^cp takes two distinct targets, got \(1, 1\)$"):
+        TimelineProgram(2, POS2, (cps((1, 1)),))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -253,7 +249,7 @@ def test_cp_applied_at_unit_efficiency_inside_step():
     # stored qubits pay eta only for the memory cycle; the gate itself
     # contributes a pure phase on |11>
     program = TimelineProgram(
-        2, ((0.0, 0.0), (10.0, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((0.0, 0.0), (10.0, 0.0)), (cps((0, 1)),)
     )
     trace = run_timeline(program, 0.9, initial=init_basis(2, "11"))
     assert trace.executed_steps == 1
@@ -264,9 +260,7 @@ def test_cp_applied_at_unit_efficiency_inside_step():
 
 
 def test_plates_apply_in_listed_order():
-    step = TimelineStep(
-        pmu_ops=((0, PlateOp("hwp", 22.5)), (0, PlateOp("qwp", 45.0)))
-    )
+    step = (CircuitOp("hwp", (0,), 22.5), CircuitOp("qwp", (0,), 45.0))
     program = TimelineProgram(1, ((0.0, 0.0),), (step,))
     trace = run_timeline(program, 1.0)
     expect = apply_gate(init_basis(1, "0"), hwp(22.5), (0,))
@@ -275,6 +269,22 @@ def test_plates_apply_in_listed_order():
     swapped = apply_gate(init_basis(1, "0"), qwp(45.0), (0,))
     swapped = apply_gate(swapped, hwp(22.5), (0,))
     assert not np.allclose(trace.final_state.amplitudes, swapped.amplitudes)
+
+
+def test_step_ops_run_in_the_order_given():
+    # a library step may put cp pairs between plates; each op runs in place
+    rng = np.random.default_rng(5)
+    initial = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    step = (CircuitOp("hwp", (0,), 22.5), CircuitOp("cp", (0, 1)),
+            CircuitOp("qwp", (1,), 45.0), CircuitOp("hwp", (0,), 10.0))
+    ops = [(hwp(22.5), (0,)), (cp_ideal_with_loss(1.0), (0, 1)), (qwp(45.0), (1,)),
+           (hwp(10.0), (0,))]
+    got = run_timeline(TimelineProgram(2, POS2, (step,)), 1.0, initial=initial)
+    want = evolve(initial, ops)
+    assert np.array_equal(got.final_state.amplitudes.view(np.uint64),
+                          want.amplitudes.view(np.uint64))
+    plates_first = evolve(initial, [ops[0], ops[2], ops[3], ops[1]])
+    assert not np.allclose(got.final_state.amplitudes, plates_first.amplitudes)
 
 
 def test_timeline_keeps_the_bits_of_one_evolve_per_step():
@@ -287,17 +297,17 @@ def test_timeline_keeps_the_bits_of_one_evolve_per_step():
         angles = np.round(rng.uniform(0, 180, n), 1).tolist()
         angles[0] = (-0.0, 0.0)[k % 2]
         kinds = rng.choice(list(PLATES), n).tolist()
-        steps.append(TimelineStep(
-            tuple((q, PlateOp(kind, a)) for q, (kind, a) in enumerate(zip(kinds, angles))),
-            ((int(k % n), int((k + 2) % n)),),
+        steps.append((
+            *(CircuitOp(kind, (q,), a) for q, (kind, a) in enumerate(zip(kinds, angles))),
+            CircuitOp("cp", (int(k % n), int((k + 2) % n))),
         ))
     program = TimelineProgram(n, tuple((3.0 * q, 0.0) for q in range(n)), tuple(steps))
     trace = run_timeline(program, 1.0)
     want = init_basis(n, "0" * n)
     cp = cp_ideal_with_loss(1.0)
     for step in steps:
-        ops = [(PLATES[p.kind](p.angle_deg), (q,)) for q, p in step.pmu_ops]
-        want = evolve(want, ops + [(cp, pair) for pair in step.cp_pairs])
+        want = evolve(want, [(cp if op.kind == "cp" else PLATES[op.kind](op.angle_deg),
+                              op.targets) for op in step])
     got = trace.final_state.amplitudes
     assert np.array_equal(got.view(np.uint64), want.amplitudes.view(np.uint64))
 
@@ -306,11 +316,10 @@ def test_random_plates_preserve_norm_at_unit_efficiency():
     rng = np.random.default_rng(11)
     steps = []
     for _ in range(6):
-        ops = tuple(
-            (int(q), PlateOp(str(rng.choice(["qwp", "hwp"])), float(rng.uniform(0, 180))))
+        steps.append(tuple(
+            CircuitOp(str(rng.choice(["qwp", "hwp"])), (int(q),), float(rng.uniform(0, 180)))
             for q in rng.integers(0, 3, size=4)
-        )
-        steps.append(TimelineStep(pmu_ops=ops))
+        ))
     program = TimelineProgram(3, ((0, 0), (5, 0), (0, 5)), tuple(steps))
     trace = run_timeline(program, 1.0)
     assert trace.executed_steps == 6
@@ -327,7 +336,7 @@ def test_gate_branch_norm_counts_toward_survival(monkeypatch):
     program = TimelineProgram(
         2,
         ((0.0, 0.0), (1.0, 0.0)),
-        tuple(TimelineStep(cp_pairs=((0, 1),)) for _ in range(3)),
+        (cps((0, 1)),) * 3,
     )
     trace = run_timeline(
         program,
@@ -343,12 +352,12 @@ def test_gate_branch_norm_counts_toward_survival(monkeypatch):
 
 def test_cp_reach_enforced():
     near = TimelineProgram(
-        2, ((0.0, 0.0), (40.0, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((0.0, 0.0), (40.0, 0.0)), (cps((0, 1)),)
     )
     run_timeline(near, 0.9)  # exactly at the default hard-sphere boundary
 
     far = TimelineProgram(
-        2, ((0.0, 0.0), (50.0, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((0.0, 0.0), (50.0, 0.0)), (cps((0, 1)),)
     )
     with pytest.raises(GatePlacementError, match=(
         r"^cp pair \(0, 1\) at 50 um exceeds blockade reach: B/Omega 0 < 100$"
@@ -362,10 +371,10 @@ def test_cp_reach_enforced():
 def test_cp_reach_rejects_nan_distance():
     # a NaN position is refused with the program, before any reach check
     with pytest.raises(ConfigError, match="positions must be finite"):
-        TimelineProgram(2, ((0.0, 0.0), (math.nan, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),))
+        TimelineProgram(2, ((0.0, 0.0), (math.nan, 0.0)), (cps((0, 1)),))
     # finite positions whose distance overflows are still out of reach
     program = TimelineProgram(
-        2, ((-1e308, 0.0), (1e308, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((-1e308, 0.0), (1e308, 0.0)), (cps((0, 1)),)
     )
     for blockade in (HardSphere(), PowerLaw(1e8), Perfect()):
         with pytest.raises(GatePlacementError, match=(
@@ -393,7 +402,7 @@ def test_run_timeline_validation():
 
 def two_memory_cp(distance_um: float) -> TimelineProgram:
     return TimelineProgram(
-        2, ((0.0, 0.0), (distance_um, 0.0)), (TimelineStep(cp_pairs=((0, 1),)),)
+        2, ((0.0, 0.0), (distance_um, 0.0)), (cps((0, 1)),)
     )
 
 
@@ -447,8 +456,7 @@ def test_each_pair_is_placed_once_and_each_shift_built_once(monkeypatch):
     monkeypatch.setattr(paqsim.gates, "scheme1_cp_matrix", counting_scheme1)
     # pairs (0, 1) and (2, 3) sit 2 um apart, (0, 2) 3 um apart
     positions = ((0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (2.0, 3.0))
-    steps = [TimelineStep(cp_pairs=((0, 1), (2, 3))), TimelineStep(cp_pairs=((2, 0),)),
-             TimelineStep(cp_pairs=((1, 0), (3, 2))), TimelineStep(cp_pairs=((0, 2),))] * 2
+    steps = [cps((0, 1), (2, 3)), cps((2, 0)), cps((1, 0), (3, 2)), cps((0, 2))] * 2
     blockade = CountingBlockade(PowerLaw(1e5))
     run_timeline(TimelineProgram(4, positions, tuple(steps)), 0.99,
                  CpScheme("scheme1"), blockade=blockade)
