@@ -27,11 +27,9 @@ from .gates import (
     X90,
     CircuitIR,
     CircuitOp,
-    CpScheme,
     GhzTopology,
     build_ghz_circuit,
     cnot_from_cp,
-    cp_ideal_with_loss,
     ghz_dense_eval,
     ghz_transfer_eval,
     lossy_cnot,
@@ -59,10 +57,12 @@ from .optics import (
 )
 from .pulses import (
     BlockadeModel,
+    CpScheme,
     HardSphere,
     Perfect,
     PowerLaw,
     PulseSpec,
+    cp_ideal_with_loss,
     pair_propagators,
     scheme1_cp_matrix,
     scheme2_cp_matrix,

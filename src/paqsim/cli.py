@@ -9,7 +9,7 @@ Subcommands map one-to-one onto the engines:
     timeline     execute a .qtl recycling program
     micro        atom-level memory protocol driver
 
-pulse, run and timeline read their CP gate from one gates.CpScheme.
+pulse, run and timeline read their CP gate from one pulses.CpScheme.
 pulse and run take its B/Omega from --b-over-omega (pulse defaults to the
 blockade's shift at --distance-um); timeline has no such flag, since
 run_timeline takes each CP pair's shift from its distance under --blockade.
@@ -35,8 +35,6 @@ from .errors import ConfigError, PaqsimError
 from .gates import (
     CNOT,
     CP,
-    CP_KINDS,
-    CpScheme,
     GhzTopology,
     ghz_dense_eval,
     ghz_transfer_eval,
@@ -58,6 +56,8 @@ from .metrics import (
     process_fidelity_postselected,
 )
 from .pulses import (
+    CP_KINDS,
+    CpScheme,
     HardSphere,
     Perfect,
     PowerLaw,
@@ -96,19 +96,19 @@ def _anchor(label: str, computed: float) -> None:
           file=sys.stderr)
 
 
-def _parse_blockade(spec: str, rabi_mhz: float):
+def _parse_blockade(spec: str):
     s = spec.strip().lower()
     if s == "perfect":
         return Perfect()
     kind, sep, value = s.partition(":")
-    models = {"hard": HardSphere, "c6": lambda c6: PowerLaw(c6, rabi_mhz)}
+    models = {"hard": HardSphere, "c6": PowerLaw}
     if sep and kind in models:
         try:
             return models[kind](float(value))
         except ValueError:
             pass
     raise ConfigError(
-        f"bad blockade spec {spec!r}; use perfect, hard:<radius_um>, or c6:<MHz.um6>"
+        f"bad blockade spec {spec!r}; use perfect, hard:<radius_um>, or c6:<Omega.um6>"
     )
 
 
@@ -232,7 +232,7 @@ def _cmd_pulse(args) -> int:
     _echo_flags(args)
     if not math.isfinite(args.area_pi):  # scheme 1 only echoes it
         raise ConfigError(f"--area-pi must be finite, got {args.area_pi}")
-    blockade = _parse_blockade(args.blockade, args.rabi_mhz)
+    blockade = _parse_blockade(args.blockade)
     scheme = _cp_scheme(args, f"scheme{args.scheme}", blockade)
     b_over = scheme.b_over_rabi
     gate, ideal_ref = scheme.gate(args.eta), scheme.gate(1.0)
@@ -288,7 +288,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_timeline(args) -> int:
     program = parse_timeline(_read_text(args.program))
-    blockade = _parse_blockade(args.blockade, args.rabi_mhz)
+    blockade = _parse_blockade(args.blockade)
     scheme = _cp_scheme(args, args.cp_model)
     trace = run_timeline(program, args.eta, scheme, args.threshold, blockade)
     depth = max_depth(args.eta, args.threshold, program.n_qms)
@@ -309,7 +309,7 @@ def _cmd_micro(args) -> int:
     kvec = _parse_three(args.kvec, "wavevector components")
     positions = gaussian_cloud(args.atoms, args.sigma_um, args.seed)
     ensemble = EnsembleConfig(positions, kvec)
-    blockade = _parse_blockade(args.blockade, args.rabi_mhz)
+    blockade = _parse_blockade(args.blockade)
     state = vacuum_state()
     reads = []
     tokens = [t for t in args.ops.split("-") if t]
@@ -353,11 +353,10 @@ def _cmd_micro(args) -> int:
 
 def _add_blockade_options(sub, default, with_distance=False):
     sub.add_argument("--blockade", default=default,
-                     help="perfect | hard:<radius_um> | c6:<MHz.um6>")
+                     help="perfect | hard:<radius_um> | c6:<Omega.um6>")
     if with_distance:
         sub.add_argument("--distance-um", type=float, default=10.0,
                          help="atom separation for finite-range blockade models")
-    sub.add_argument("--rabi-mhz", type=float, default=1.0)
 
 
 def _add_scheme_options(sub, with_model=True, with_shift=True):

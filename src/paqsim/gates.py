@@ -1,6 +1,7 @@
 """Lossy two-qubit gates, circuit IR, dense executor, and GHZ evaluators.
 
-Every engine and command reads its CP realisation from one `CpScheme`.
+Every engine and command reads its CP realisation from one
+`pulses.CpScheme`, which holds the CP gate's pulse-level formulas.
 The CP gate acts only on the V-polarized components, which are the only
 ones stored in a memory, so its post-selected branch carries the loss
 structure diag(1, sqrt(eta), sqrt(eta), eta). A CNOT is that CP
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, PostSelectionError
 from .metrics import _ZERO_NORM
 from .optics import PLATES
-from .pulses import _eta, _scheme1_args, _scheme2_args, scheme1_cp_matrix, scheme2_cp_matrix
+from .pulses import CpScheme, _eta, cp_ideal_with_loss
 from .qstate import GateOpMatrix, StateVector, _as_index, _qubit_count, _trusted
 from .qstate import evolve, init_basis
 
@@ -112,45 +113,6 @@ class CircuitIR:
 class GhzTopology(Enum):
     STAR = "star"
     CHAIN = "chain"
-
-
-def cp_ideal_with_loss(eta: float) -> GateOpMatrix:
-    """diag(1,sqrt(eta),sqrt(eta),eta) applied to the ideal CP."""
-    _eta(eta)
-    s = math.sqrt(eta)
-    # a checked eta makes it finite with entries in [-1, 1]: no norm check
-    return _trusted(np.diag([1.0, -s, -s, -eta]).astype(complex)[None])[0]
-
-
-CP_KINDS = ("ideal", "scheme1", "scheme2")
-
-
-@dataclass(frozen=True)
-class CpScheme:
-    """One CP realisation: the lossy ideal gate, scheme 1 (reads B/Omega and
-    area errors) or scheme 2 (B/Omega, area in radians). The fields its kind
-    reads are checked here, as `gate(eta)` checks them, so a scheme whose
-    gate is never built is refused all the same."""
-
-    kind: str = "ideal"
-    b_over_rabi: float = math.inf
-    area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    area: float = 10.0 * math.pi
-
-    def __post_init__(self):
-        if self.kind not in CP_KINDS:
-            raise ConfigError(f"unknown cp model {self.kind!r}; use {', '.join(CP_KINDS)}")
-        if self.kind == "scheme1":
-            _scheme1_args(self.b_over_rabi, self.area_errors)
-        elif self.kind == "scheme2":
-            _scheme2_args(self.area, self.b_over_rabi)
-
-    def gate(self, eta: float) -> GateOpMatrix:
-        if self.kind == "scheme1":
-            return scheme1_cp_matrix(eta, self.b_over_rabi, self.area_errors)
-        if self.kind == "scheme2":
-            return scheme2_cp_matrix(eta, self.area, self.b_over_rabi)
-        return cp_ideal_with_loss(eta)
 
 
 def cnot_from_cp(cp_gate: GateOpMatrix) -> GateOpMatrix:

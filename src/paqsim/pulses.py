@@ -1,4 +1,4 @@
-"""Rabi pulse propagators, blockade models, and effective CP matrices.
+"""Rabi pulse propagators, blockade models, and the CP gate's one owner.
 
 All pulses are parameterized by area theta = Omega*t and dimensionless
 detuning Delta/Omega, so Omega never appears explicitly. The two-level
@@ -17,10 +17,11 @@ A timeline places a CP pair only where B/Omega >= REACH_SHIFT_OVER_RABI
 and runs its gate at that shift. The pulse command reads one at its
 --distance-um unless given --b-over-omega; run takes --b-over-omega alone.
 
-The 4x4 CP matrices are single post-selected branches on the photonic
-basis (|00>, |01>, |10>, |11>): memory loss contributes sqrt(eta) per
-stored photon and Rydberg leakage is discarded into the loss budget (a
-population stranded in r cannot be read out as a V photon).
+`CpScheme` owns the CP gate. Its 4x4 matrices are single post-selected
+branches on the photonic basis (|00>, |01>, |10>, |11>): memory loss
+contributes sqrt(eta) per stored photon and Rydberg leakage is discarded
+into the loss budget (a population stranded in r cannot be read out as a
+V photon).
 """
 
 from __future__ import annotations
@@ -119,14 +120,13 @@ class HardSphere:
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Van der Waals shift B = C6 / r^6, in units of the reference Rabi."""
+    """Van der Waals shift B/Omega = C6 / r^6."""
 
-    c6_mhz_um6: float
-    reference_rabi_mhz: float = 1.0
+    c6: float  # in units of Omega * um^6
 
     def __post_init__(self):
-        if not (self.c6_mhz_um6 > 0 and self.reference_rabi_mhz > 0):
-            raise ConfigError("C6 and reference Rabi must be > 0")
+        if not self.c6 > 0:
+            raise ConfigError(f"C6 must be > 0, got {self.c6}")
 
     def shift_over_rabi(self, distance_um):
         d = _distance(distance_um)
@@ -140,7 +140,7 @@ class PowerLaw:
             r6 = r**6
         except OverflowError:
             return 0.0
-        return self.c6_mhz_um6 / r6 / self.reference_rabi_mhz if r6 else math.inf
+        return self.c6 / r6 if r6 else math.inf
 
 
 # shift_over_rabi maps a distance, or an array of them, to B/Omega of that shape
@@ -219,20 +219,72 @@ def _pair_ladders(area: float, shifts, det, phase: float) -> np.ndarray:
     return ht
 
 
-def _scheme1_args(b_over_rabi: float, pulse_area_errors) -> None:
-    """The checks on scheme 1's shift and areas, in the order it reads them."""
-    _blockade_shift(b_over_rabi)
-    e1, e2, e3 = pulse_area_errors
-    for area in (math.pi * e1, math.pi * e3, 2.0 * math.pi * e2):
-        _area(area)
+def cp_ideal_with_loss(eta: float) -> GateOpMatrix:
+    """diag(1,sqrt(eta),sqrt(eta),eta) applied to the ideal CP."""
+    _eta(eta)
+    s = math.sqrt(eta)
+    # a checked eta makes it finite with entries in [-1, 1]: no norm check
+    return _trusted(np.diag([1.0, -s, -s, -eta]).astype(complex)[None])[0]
 
 
-def _scheme2_args(area: float, b_over_rabi: float) -> None:
-    """The checks on scheme 2's area and shift, in the order it reads them."""
-    if not area > 0:
-        raise ConfigError(f"pulse area must be > 0, got {area}")
-    _blockade_shift(b_over_rabi)
-    _area(area)
+CP_KINDS = ("ideal", "scheme1", "scheme2")
+
+
+@dataclass(frozen=True)
+class CpScheme:
+    """One CP realisation: the lossy ideal gate, scheme 1 (reads B/Omega and
+    area errors) or scheme 2 (B/Omega, area in radians). The fields its kind
+    reads are checked once, here, so an unbuilt gate is refused all the same.
+
+    Scheme 1 is pi on control, 2pi on target, pi on control. Its |11>
+    entry is the product of the control two-pi-pulse factor and the
+    blockaded-target 2pi factor (shift B/Omega as detuning); exact pulses
+    with perfect blockade give diag(1,-1,-1,-1), and B=0 gives the +eta
+    gate failure (the target 2pi completes and cancels the sign).
+
+    Scheme 2 is one area-theta pulse on the shared ensemble. Single
+    excitations return with cos(theta/2); the blockaded pair oscillates at
+    sqrt(2)*Omega and returns with cos(sqrt(2)*theta/2) under perfect
+    blockade: cli.ANCHORS' "scheme2 pair return" at 10*pi.
+    """
+
+    kind: str = "ideal"
+    b_over_rabi: float = math.inf
+    area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    area: float = 10.0 * math.pi
+
+    def __post_init__(self):
+        if self.kind not in CP_KINDS:
+            raise ConfigError(f"unknown cp model {self.kind!r}; use {', '.join(CP_KINDS)}")
+        if self.kind == "scheme1":  # in the order the gate reads them
+            _blockade_shift(self.b_over_rabi)
+            e1, e2, e3 = self.area_errors
+            for area in (math.pi * e1, math.pi * e3, 2.0 * math.pi * e2):
+                _area(area)
+        elif self.kind == "scheme2":
+            if not self.area > 0:
+                raise ConfigError(f"pulse area must be > 0, got {self.area}")
+            _blockade_shift(self.b_over_rabi)
+            _area(self.area)
+
+    def gate(self, eta: float) -> GateOpMatrix:
+        """The post-selected CP branch at memory efficiency eta."""
+        if self.kind == "ideal":
+            return cp_ideal_with_loss(eta)
+        _eta(eta)
+        s = math.sqrt(eta)
+        if self.kind == "scheme2":
+            single = two_level_propagator(PulseSpec(self.area)).entries[0, 0]
+            pair = complex(pair_propagators(self.area, [self.b_over_rabi], 0.0)[0, 0, 0])
+            return GateOpMatrix(np.diag([1.0, s * single, s * single, eta * pair]))
+        e1, e2, e3 = self.area_errors
+        u1 = two_level_propagator(PulseSpec(math.pi * e1)).entries
+        u3 = two_level_propagator(PulseSpec(math.pi * e3)).entries
+        a_ctrl = (u3 @ u1)[0, 0]
+        target_area = 2.0 * math.pi * e2
+        a_free = two_level_propagator(PulseSpec(target_area)).entries[0, 0]
+        a_blocked = two_level_propagator(PulseSpec(target_area, self.b_over_rabi)).entries[0, 0]
+        return GateOpMatrix(np.diag([1.0, s * a_free, s * a_ctrl, eta * a_ctrl * a_blocked]))
 
 
 def scheme1_cp_matrix(
@@ -240,41 +292,14 @@ def scheme1_cp_matrix(
     blockade_shift_over_rabi: float = math.inf,
     pulse_area_errors: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> GateOpMatrix:
-    """Three-pulse CP branch: pi on control, 2pi on target, pi on control.
-
-    The |11> entry is the product of the control two-pi-pulse factor and
-    the blockaded-target 2pi factor (shift B/Omega as detuning); exact
-    pulses with perfect blockade give diag(1,-1,-1,-1), and B=0 gives the
-    +eta gate failure (the target 2pi completes and cancels the sign).
-    """
+    """Three-pulse CP branch: CpScheme("scheme1", ...).gate(eta)."""
     _eta(eta)
-    _scheme1_args(blockade_shift_over_rabi, pulse_area_errors)
-    e1, e2, e3 = pulse_area_errors
-    s = math.sqrt(eta)
-    u1 = two_level_propagator(PulseSpec(math.pi * e1)).entries
-    u3 = two_level_propagator(PulseSpec(math.pi * e3)).entries
-    a_ctrl = (u3 @ u1)[0, 0]
-    a_free = two_level_propagator(PulseSpec(2.0 * math.pi * e2)).entries[0, 0]
-    a_blocked = two_level_propagator(
-        PulseSpec(2.0 * math.pi * e2, blockade_shift_over_rabi)
-    ).entries[0, 0]
-    return GateOpMatrix(
-        np.diag([1.0, s * a_free, s * a_ctrl, eta * a_ctrl * a_blocked])
-    )
+    return CpScheme("scheme1", blockade_shift_over_rabi, pulse_area_errors).gate(eta)
 
 
 def scheme2_cp_matrix(
     eta: float, area: float = 10.0 * math.pi, b_over_rabi: float = math.inf
 ) -> GateOpMatrix:
-    """Single-pulse CP branch: one area-theta pulse on the shared ensemble.
-
-    Single excitations return with cos(theta/2); the blockaded pair
-    oscillates at sqrt(2)*Omega and returns with cos(sqrt(2)*theta/2)
-    under perfect blockade: cli.ANCHORS' "scheme2 pair return" at 10*pi.
-    """
+    """Single-pulse CP branch: CpScheme("scheme2", ...).gate(eta)."""
     _eta(eta)
-    _scheme2_args(area, b_over_rabi)
-    s = math.sqrt(eta)
-    single = two_level_propagator(PulseSpec(area)).entries[0, 0]
-    pair = complex(pair_propagators(area, [b_over_rabi], 0.0)[0, 0, 0])
-    return GateOpMatrix(np.diag([1.0, s * single, s * single, eta * pair]))
+    return CpScheme("scheme2", b_over_rabi, area=area).gate(eta)

@@ -5,7 +5,9 @@ plates (`CircuitOp("hwp", (q,), 22.5)`) and CP pairs
 (`CircuitOp("cp", (i, j))`), run in the order given; no memory is in
 two CP pairs of one step. Each step recycles every memory once (store
 and retrieve both polarization modes), so survival costs eta per memory
-per step no matter what the amplitudes are. A CP pair takes its blockade
+per step no matter what the amplitudes are. A plate acts on a retrieved
+photon and a CP on stored ones, so no plate on a memory may follow that
+memory's CP in one step: it would need a second cycle. A CP pair takes its blockade
 shift B/Omega from its distance under the blockade model: it is placed
 only where B/Omega >= pulses.REACH_SHIFT_OVER_RABI, and its gate is the
 cp model's at that shift. Gates are applied as unit-efficiency branches;
@@ -26,9 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GatePlacementError
-from .gates import CircuitIR, CircuitOp, CpScheme
+from .gates import CircuitIR, CircuitOp
 from .optics import PLATES, plate_gates
-from .pulses import REACH_SHIFT_OVER_RABI, BlockadeModel, HardSphere
+from .pulses import REACH_SHIFT_OVER_RABI, BlockadeModel, CpScheme, HardSphere
 from .qstate import StateVector, _as_index, _qubit_count, evolve, init_basis
 
 
@@ -62,6 +64,9 @@ class TimelineProgram:
                     raise ConfigError(f"a step holds plate and cp CircuitOps, got {op!r}")
                 if op.kind == "cp":
                     cps += op.targets
+                elif op.targets[0] in cps:  # it would need a second memory cycle
+                    q = op.targets[0]
+                    raise ConfigError(f"a plate on memory {q} follows its cp in one step")
             CircuitIR(n, step)
             if len(set(cps)) < len(cps):
                 q = next(q for k, q in enumerate(cps) if q in cps[:k])

@@ -11,6 +11,9 @@ exponentiates, so the ladder is written once. `apply_gate` is a one-op `evolve`.
 plain definitions the gate and plate tests check against; `ghz_dense_eval`
 computes its fidelity inline. `collective_state` builds an atom-engine
 state from a {configuration: amplitude} dict, cleaned by the dict engine.
+`FewAtomOracle` runs the atom engine's writes, pulses and reads on an
+explicit basis of a few atoms, and `scheme1_cp_oracle` the scheme-1 gate
+with both memories in one state; neither shares code with `paqsim.memory`.
 
 The Monte Carlo average is evaluated in fixed-size chunks, each with its
 own counter-derived generator seeded by (seed, chunk index), and the
@@ -20,6 +23,7 @@ bit-identical for a given (samples, seed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,3 +195,132 @@ def fit_pair_frequency(b_over_rabi: float, n_samples: int = 3001) -> float:
     shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
     x_min = xs[i] + shift * (xs[1] - xs[0])
     return math.pi / x_min
+
+
+class FewAtomOracle:
+    """The atom engine's protocols on an explicit configuration basis, for a
+    few atoms over one or more ensembles; it shares no code with
+    `paqsim.memory` (no ladder, no symmetric/antisymmetric split, no
+    Rydberg-presence switch).
+
+    Atoms are numbered across the ensembles in order. The basis is every
+    configuration with at most two atoms out of g1, each in g2 or r, as
+    sorted ((atom, level), ...) tuples: 1 + 2N + 4 C(N, 2) of them, less the
+    r r states of pairs under an infinite shift, which no pulse reaches.
+    A pulse on ensemble E builds H t in the `paqsim.pulses` convention,
+    (area/2)(cos(phase) sigma_x + sin(phase) sigma_y) + detuning*area on r,
+    on each atom of E, adds B(r_ij)*area on every r_i r_j of any two atoms,
+    and exponentiates it with `np.linalg.eigh`.
+
+    Writes and reads follow the product's convention, mode amplitudes
+    m_j = e^{i phi_j}/sqrt(N_E) with phi_j = k.r_j: a write adds m_j on
+    atom j where E holds nothing, and turns a single g2 of E into the pair
+    state overlap * e^{i(phi_i - phi_j)}/sqrt(C(N_E, 2)) on g2_i g2_j, i < j,
+    where overlap = sum_j conj(m_j) a_j (the second photon is stored as
+    e^{i(phi_i - phi_j)}, not in the bosonic e^{i(phi_i + phi_j)}). A read
+    is sqrt(eta) * sum_j conj(m_j) times the removal of g2 from atom j, a
+    vector of one excitation fewer: the product's amplitude times its
+    remainder. States are vectors over `configs`.
+    """
+
+    def __init__(self, ensembles, blockade):
+        self.positions = np.concatenate([e.positions for e in ensembles])
+        starts = np.cumsum([0] + [e.n_atoms for e in ensembles])
+        self.members = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        self.modes = [np.exp(1j * (e.positions @ e.wavevector)) / math.sqrt(e.n_atoms)
+                      for e in ensembles]
+        n = len(self.positions)
+        pairs = itertools.combinations(range(n), 2)
+        self.shift = {(i, j): float(blockade.shift_over_rabi(
+            math.dist(self.positions[i], self.positions[j]))) for i, j in pairs}
+        configs = [()] + [((j, lv),) for j in range(n) for lv in LEVELS]
+        configs += [((i, a), (j, b)) for (i, j), shift in self.shift.items()
+                    for a in LEVELS for b in LEVELS
+                    if not (a == b == "r" and math.isinf(shift))]
+        self.configs = configs
+        self.index = {c: k for k, c in enumerate(configs)}
+
+    def vacuum(self) -> np.ndarray:
+        psi = np.zeros(len(self.configs), dtype=complex)
+        psi[self.index[()]] = 1.0
+        return psi
+
+    def vector(self, state: CollectiveState, amplitude: complex = 1.0) -> np.ndarray:
+        """A one-ensemble engine state, times `amplitude`, on this basis."""
+        psi = np.zeros(len(self.configs), dtype=complex)
+        for c, a in state.amplitudes.items():
+            psi[self.index[c]] = amplitude * a
+        return psi
+
+    def pulse(self, psi, ensemble: int, area: float, detuning: float = 0.0,
+              phase: float = 0.0) -> np.ndarray:
+        driven = self.members[ensemble]
+        ht = np.zeros((len(self.configs),) * 2, dtype=complex)
+        for k, c in enumerate(self.configs):
+            if len(c) == 2 and c[0][1] == c[1][1] == "r":
+                ht[k, k] += self.shift[c[0][0], c[1][0]] * area
+            for slot, (j, lv) in enumerate(c):
+                if j not in driven:
+                    continue
+                if lv == "r":
+                    ht[k, k] += detuning * area
+                flipped = list(c)
+                flipped[slot] = (j, "r" if lv == "g2" else "g2")
+                m = self.index.get(tuple(flipped))
+                if m is not None:  # <g2|H t|r> = (area/2) e^{-i phase}
+                    ht[k, m] = area / 2 * np.exp(-1j * phase if lv == "g2" else 1j * phase)
+        w, v = np.linalg.eigh(ht)
+        return (v * np.exp(-1j * w)) @ (v.conj().T @ psi)
+
+    def write(self, psi, ensemble: int) -> np.ndarray:
+        atoms, mode = self.members[ensemble], self.modes[ensemble]
+        out = np.zeros_like(psi)
+        overlap: dict = {}
+        for c, a in zip(self.configs, psi):
+            own = [(j, lv) for j, lv in c if j in atoms]
+            if a == 0:
+                continue
+            if not own:
+                for j, m in zip(atoms, mode):
+                    out[self.index[tuple(sorted(c + ((j, "g2"),)))]] += a * m
+            elif own[0][1] == "g2" and len(own) == 1:
+                rest = tuple(x for x in c if x != own[0])
+                j = own[0][0]
+                overlap[rest] = overlap.get(rest, 0j) + np.conj(mode[j - atoms[0]]) * a
+            else:
+                raise ValueError("a write needs E empty or holding one g2 excitation")
+        count = math.comb(len(atoms), 2)
+        for rest, ov in overlap.items():
+            for i, j in itertools.combinations(atoms, 2):
+                wave = mode[i - atoms[0]] / mode[j - atoms[0]]  # e^{i(phi_i - phi_j)}
+                out[self.index[tuple(sorted(rest + ((i, "g2"), (j, "g2"))))]] += (
+                    ov * wave / math.sqrt(count))
+        return out
+
+    def read(self, psi, ensemble: int, eta: float) -> np.ndarray:
+        atoms, mode = self.members[ensemble], self.modes[ensemble]
+        out = np.zeros_like(psi)
+        for c, a in zip(self.configs, psi):
+            for j, lv in c:
+                if j in atoms and lv == "g2":
+                    rest = tuple(x for x in c if x != (j, lv))
+                    out[self.index[rest]] += math.sqrt(eta) * np.conj(mode[j - atoms[0]]) * a
+        return out
+
+
+def scheme1_cp_oracle(eta, blockade, control, target, errors=(1.0, 1.0, 1.0)) -> np.ndarray:
+    """The diagonal of the post-selected scheme-1 branch from `FewAtomOracle`:
+    pi on the control, 2pi on the target, pi on the control, with both
+    memories held in one state, so the |11> entry reads both photons
+    jointly rather than one memory at a time."""
+    o = FewAtomOracle((control, target), blockade)
+    e1, e2, e3 = errors
+    c, t = 0, 1
+    vac = o.index[()]
+    a01 = o.read(o.pulse(o.write(o.vacuum(), t), t, 2 * math.pi * e2), t, eta)[vac]
+    ctrl = o.pulse(o.write(o.vacuum(), c), c, math.pi * e1)
+    a10 = o.read(o.pulse(ctrl, c, math.pi * e3), c, eta)[vac]
+    both = o.pulse(o.write(o.write(o.vacuum(), t), c), c, math.pi * e1)
+    both = o.pulse(o.pulse(both, t, 2 * math.pi * e2), c, math.pi * e3)
+    a11 = o.read(o.read(both, c, eta), t, eta)[vac]
+    return np.array([1.0, a01, a10, a11])

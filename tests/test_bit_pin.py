@@ -1,6 +1,8 @@
 """Bit pins for the dense executor, recorded before `evolve`'s end copy was
-blocked, and memory guards for the same change; and bit pins for the
-timeline, recorded before each CP pair took its gate from its distance.
+blocked, and memory guards for the same change; bit pins for the
+timeline, recorded before each CP pair took its gate from its distance;
+and bit and message pins for the CP gate, recorded before `CpScheme`
+moved next to the pulse-level formulas it selects.
 
 Each pin is the SHA-256 of output bytes: `run_circuit` amplitudes and the
 two floats of `ghz_dense_eval` for GHZ star and chain at n = 11..18 under
@@ -26,6 +28,7 @@ import pytest
 from paqsim import (
     CircuitIR,
     CircuitOp,
+    ConfigError,
     CpScheme,
     GhzTopology,
     HardSphere,
@@ -33,10 +36,13 @@ from paqsim import (
     PowerLaw,
     TimelineProgram,
     build_ghz_circuit,
+    cp_ideal_with_loss,
     ghz_dense_eval,
     init_basis,
     run_circuit,
     run_timeline,
+    scheme1_cp_matrix,
+    scheme2_cp_matrix,
 )
 from paqsim.gates import GATES
 
@@ -217,3 +223,74 @@ def timeline_bytes(blockade: str, model: str):
 @pytest.mark.parametrize("model", list(TIMELINE_MODELS))
 def test_timeline_bits_are_pinned(blockade, model):
     assert digest(timeline_bytes(blockade, model)) == TIMELINE_PINS[blockade, model]
+
+
+# CP gate pins: every kind of `CpScheme` over a seeded grid of B/Omega (0,
+# log-uniform from 1e-3 to 1e6, and inf), nominal and random area errors
+# and scheme-2 areas in [0.8, 1.2] x nominal, at eta 0, 1 and a random
+# value. The pin hashes each gate's entry bytes, so a change to where the
+# scheme's formulas live must leave every bit of every gate where it was.
+CP_KINDS = ("ideal", "scheme1", "scheme2")
+CP_SHIFTS = 30  # finite B/Omega values per kind
+CP_PIN = "219eb2dd28891883b8d0d6fc80133383a456480aa95b10d87e1cbcfe76f6516e"
+
+
+def cp_gate_bytes():
+    rng = random.Random(38)
+    for kind in CP_KINDS:
+        shifts = [0.0, math.inf] + [10.0 ** rng.uniform(-3.0, 6.0) for _ in range(CP_SHIFTS)]
+        for b in shifts:
+            errors = tuple(rng.uniform(0.8, 1.2) for _ in range(3))
+            area = rng.uniform(0.8, 1.2) * 10.0 * math.pi
+            for scheme in (CpScheme(kind, b), CpScheme(kind, b, errors, area)):
+                for eta in (0.0, 1.0, rng.random()):
+                    yield scheme.gate(eta).entries.tobytes()
+
+
+def test_cp_gate_bits_are_pinned():
+    assert digest(cp_gate_bytes()) == CP_PIN
+
+
+# the message of every refused CP gate: the scheme checks its fields when
+# built and the gate its eta; the builders check eta first
+CP_REFUSALS = [
+    (lambda: CpScheme("scheme3"), "unknown cp model 'scheme3'; use ideal, scheme1, scheme2"),
+    (lambda: CpScheme("scheme1", math.nan), "blockade shift must be >= 0, got nan"),
+    (lambda: CpScheme("scheme1", -1.0), "blockade shift must be >= 0, got -1.0"),
+    (lambda: CpScheme("scheme2", math.nan), "blockade shift must be >= 0, got nan"),
+    (lambda: CpScheme("scheme2", -2.0), "blockade shift must be >= 0, got -2.0"),
+    (lambda: CpScheme("scheme1", 3.0, (math.inf, 1.0, 1.0)),
+     "pulse area must be finite and >= 0, got inf"),
+    (lambda: CpScheme("scheme1", 3.0, (1.0, math.nan, 1.0)),
+     "pulse area must be finite and >= 0, got nan"),
+    (lambda: CpScheme("scheme1", 3.0, (1.0, 1.0, -0.5)),
+     "pulse area must be finite and >= 0, got -1.5707963267948966"),
+    (lambda: CpScheme("scheme1", -1.0, (-1.0, 1.0, 1.0)), "blockade shift must be >= 0, got -1.0"),
+    (lambda: CpScheme("scheme2", area=math.inf), "pulse area must be finite and >= 0, got inf"),
+    (lambda: CpScheme("scheme2", area=math.nan), "pulse area must be > 0, got nan"),
+    (lambda: CpScheme("scheme2", area=-1.0), "pulse area must be > 0, got -1.0"),
+    (lambda: CpScheme("scheme2", area=0.0), "pulse area must be > 0, got 0.0"),
+    (lambda: CpScheme("scheme2", math.nan, area=-1.0), "pulse area must be > 0, got -1.0"),
+    (lambda: CpScheme("scheme2", -1.0, area=math.inf), "blockade shift must be >= 0, got -1.0"),
+    (lambda: CpScheme("scheme3", math.nan), "unknown cp model 'scheme3'; use ideal, scheme1, scheme2"),
+    (lambda: CpScheme().gate(1.5), "eta must be in [0,1], got 1.5"),
+    (lambda: CpScheme("ideal", math.nan).gate(math.nan), "eta must be in [0,1], got nan"),
+    (lambda: CpScheme("scheme1").gate(-0.1), "eta must be in [0,1], got -0.1"),
+    (lambda: CpScheme("scheme2", 3.0).gate(math.inf), "eta must be in [0,1], got inf"),
+    (lambda: CpScheme("scheme1", math.nan).gate(2.0), "blockade shift must be >= 0, got nan"),
+    (lambda: scheme1_cp_matrix(2.0, math.nan), "eta must be in [0,1], got 2.0"),
+    (lambda: scheme1_cp_matrix(math.nan, 3.0, (math.inf, 1.0, 1.0)), "eta must be in [0,1], got nan"),
+    (lambda: scheme1_cp_matrix(1.0, -1.0, (math.inf, 1.0, 1.0)),
+     "blockade shift must be >= 0, got -1.0"),
+    (lambda: scheme2_cp_matrix(-1.0, -1.0, math.nan), "eta must be in [0,1], got -1.0"),
+    (lambda: scheme2_cp_matrix(1.0, -1.0, math.nan), "pulse area must be > 0, got -1.0"),
+    (lambda: scheme2_cp_matrix(1.0, math.inf, -3.0), "blockade shift must be >= 0, got -3.0"),
+    (lambda: cp_ideal_with_loss(1.5), "eta must be in [0,1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize("build, message", CP_REFUSALS)
+def test_cp_gate_refusals_keep_their_messages(build, message):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value) == message

@@ -332,7 +332,7 @@ def test_pulse_prints_the_exact_haar_average_and_nothing_else_new(capsys, flags)
     assert code == 0
     record = json.loads(out)
     if flags[1] == "2":
-        b_over = PowerLaw(5000.0, 1.0).shift_over_rabi(10.0)
+        b_over = PowerLaw(5000.0).shift_over_rabi(10.0)
         gate = scheme2_cp_matrix(0.9, 10.0 * math.pi, b_over)
     else:
         gate = scheme1_cp_matrix(0.5, 3.0, (1.05, 0.97, 1.0))
@@ -579,12 +579,24 @@ def test_timeline_has_no_b_over_omega_flag(tmp_path, capsys):
     assert "unrecognized arguments: --b-over-omega 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("pulse", "--scheme", "1", "--blockade", "c6:5000"),
+                                  ("timeline", "{qtl}"), ("micro", "write-read")])
+def test_there_is_no_rabi_flag(tmp_path, capsys, argv):
+    # a power law's C6 is in units of Omega * um^6: no second scale
+    path = tmp_path / "cp.qtl"
+    path.write_text("qms 2\npos 1 10\nstep:\ncp 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "{qtl}" else a for a in argv] + ["--rabi-mhz", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rabi-mhz 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scheme", [1, 2])
 @pytest.mark.parametrize("distance", ["0.9", "1.5"])
 def test_timeline_cp_is_the_pulse_gate_at_the_pair_distance(tmp_path, capsys, scheme, distance):
     # plates spread both memories over all four basis states; the timeline's
     # one step is then the pulse command's matrix between the same plates
-    blockade = ("--blockade", "c6:5000", "--rabi-mhz", "1.0")
+    blockade = ("--blockade", "c6:5000")
     code, out, _ = cli(capsys, "pulse", "--scheme", str(scheme), *blockade,
                        "--distance-um", distance)
     assert code == 0
@@ -889,7 +901,7 @@ EXTREME_FILES = {
     "{qtl}": ("x.qtl", "qms 2\npos 1 10\nstep:\npmu 0 qwp 30\ncp 0 1\nstep:\ncp 1 0\n"),
 }
 _SCHEME_FLAGS = ("--eta", "--area-pi", "--area-errors=1,{},1")
-_BLOCKADE_FLAGS = ("--rabi-mhz", "--blockade=c6:{}", "--blockade=hard:{}")
+_BLOCKADE_FLAGS = ("--blockade=c6:{}", "--blockade=hard:{}")
 _MODELS = ("ideal", "scheme1", "scheme2")
 EXTREME_CASES = [  # (base argv, flags); a flag without "{}" takes "=value"
     (("cnot-sweep", "--steps=3"), ("--eta-min", "--eta-max", "--steps", "--samples", "--seed")),

@@ -30,8 +30,9 @@ from paqsim import (
     scheme1_cp_matrix,
     scheme2_cp_matrix,
 )
-from paqsim import gates
-from paqsim.gates import CP_KINDS, MAX_GHZ, PHASE, X90
+from paqsim import pulses
+from paqsim.gates import MAX_GHZ, PHASE, X90
+from paqsim.pulses import CP_KINDS
 
 from _oracles import (
     apply_gate,
@@ -258,10 +259,21 @@ def test_cp_scheme_checks_its_kind_and_builds_no_gate(monkeypatch):
     def refuse(*args):
         raise AssertionError("a gate was built")
 
-    for name in ("cp_ideal_with_loss", "scheme1_cp_matrix", "scheme2_cp_matrix"):
-        monkeypatch.setattr(gates, name, refuse)
+    monkeypatch.setattr(CpScheme, "gate", refuse)
     for kind in CP_KINDS:
         CpScheme(kind, 3.0, (1.0, 0.9, 1.0), 7.0)
+
+
+def test_cp_scheme_checks_its_fields_once(monkeypatch):
+    # when formed, never again per gate built
+    calls = []
+    check = pulses._blockade_shift
+    monkeypatch.setattr(pulses, "_blockade_shift", lambda b: calls.append(b) or check(b))
+    for kind in ("scheme1", "scheme2"):
+        scheme = CpScheme(kind, 3.0)
+        for _ in range(100):
+            scheme.gate(0.5)
+    assert calls == [3.0, 3.0]
 
 
 def test_scheme_cp_models_plug_in():

@@ -148,7 +148,7 @@ def test_blockade_model_validation():
     with pytest.raises(ConfigError):
         PowerLaw(-1.0)
     with pytest.raises(ConfigError):
-        PowerLaw(1.0, 0.0)
+        PowerLaw(0.0)
 
 
 @pytest.mark.parametrize(
@@ -158,7 +158,7 @@ def test_blockade_model_validation():
         lambda: PulseSpec(math.inf),
         lambda: HardSphere(math.nan),
         lambda: PowerLaw(math.nan),
-        lambda: PowerLaw(1.0, math.nan),
+        lambda: PowerLaw(-math.inf),
         lambda: HardSphere(40.0).shift_over_rabi(math.nan),
         lambda: HardSphere(40.0).shift_over_rabi(math.inf),
         lambda: PowerLaw(1e6).shift_over_rabi(math.nan),
@@ -215,7 +215,7 @@ def test_shift_over_rabi_takes_arrays_and_matches_the_closed_forms():
         (Perfect(), lambda r: math.inf),
         (HardSphere(40.0), lambda r: math.inf if r <= 40.0 else 0.0),
         (PowerLaw(1e6), lambda r: math.inf if r == 0 else 1e6 / math.pow(r, 6) / 1.0),
-        (PowerLaw(3.7, 2.0), lambda r: math.inf if r == 0 else 3.7 / math.pow(r, 6) / 2.0),
+        (PowerLaw(3.7), lambda r: math.inf if r == 0 else 3.7 / math.pow(r, 6)),
     ]
     for model, shift in closed_forms:
         got = model.shift_over_rabi(d)

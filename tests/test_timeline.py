@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-import paqsim.gates
 from paqsim import (
     CircuitOp,
     ConfigError,
@@ -25,10 +24,11 @@ from paqsim import (
     hwp,
     init_basis,
     max_depth,
+    parse_timeline,
     qwp,
     run_timeline,
 )
-from paqsim.gates import CP_KINDS
+from paqsim.pulses import CP_KINDS
 from paqsim.optics import PLATES
 from paqsim.pulses import REACH_SHIFT_OVER_RABI
 
@@ -272,19 +272,43 @@ def test_plates_apply_in_listed_order():
 
 
 def test_step_ops_run_in_the_order_given():
-    # a library step may put cp pairs between plates; each op runs in place
+    # a library step may put cp pairs between plates on other memories;
+    # each op runs in place
     rng = np.random.default_rng(5)
-    initial = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    initial = StateVector(3, rng.standard_normal(8) + 1j * rng.standard_normal(8))
     step = (CircuitOp("hwp", (0,), 22.5), CircuitOp("cp", (0, 1)),
-            CircuitOp("qwp", (1,), 45.0), CircuitOp("hwp", (0,), 10.0))
-    ops = [(hwp(22.5), (0,)), (cp_ideal_with_loss(1.0), (0, 1)), (qwp(45.0), (1,)),
-           (hwp(10.0), (0,))]
-    got = run_timeline(TimelineProgram(2, POS2, (step,)), 1.0, initial=initial)
+            CircuitOp("qwp", (2,), 45.0), CircuitOp("hwp", (2,), 10.0))
+    ops = [(hwp(22.5), (0,)), (cp_ideal_with_loss(1.0), (0, 1)), (qwp(45.0), (2,)),
+           (hwp(10.0), (2,))]
+    positions = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    got = run_timeline(TimelineProgram(3, positions, (step,)), 1.0, initial=initial)
     want = evolve(initial, ops)
     assert np.array_equal(got.final_state.amplitudes.view(np.uint64),
                           want.amplitudes.view(np.uint64))
-    plates_first = evolve(initial, [ops[0], ops[2], ops[3], ops[1]])
-    assert not np.allclose(got.final_state.amplitudes, plates_first.amplitudes)
+    swapped = evolve(initial, [ops[0], ops[1], ops[3], ops[2]])
+    assert not np.allclose(got.final_state.amplitudes, swapped.amplitudes)
+
+
+@pytest.mark.parametrize("step, q", [
+    ((CircuitOp("hwp", (0,), 22.5), CircuitOp("cp", (0, 1)), CircuitOp("hwp", (0,), 22.5)), 0),
+    ((CircuitOp("cp", (0, 1)), CircuitOp("qwp", (2,), 30.0), CircuitOp("qwp", (1,), 30.0)), 1),
+])
+def test_a_plate_may_not_follow_its_memorys_cp_in_one_step(step, q):
+    # the plate acts on a photon the cp left stored: a second memory cycle
+    positions = ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
+    with pytest.raises(ConfigError, match=rf"^a plate on memory {q} follows its cp in one step$"):
+        TimelineProgram(3, positions, (step,))
+
+
+def test_a_qtl_cp_line_before_a_pmu_line_still_runs_plates_first():
+    program = parse_timeline("qms 2\npos 1 10\nstep:\ncp 0 1\npmu 0 hwp 22.5\n")
+    assert program.steps == ((CircuitOp("hwp", (0,), 22.5), CircuitOp("cp", (0, 1))),)
+    trace = run_timeline(program, 0.9, initial=init_basis(2, "11"))
+    want = evolve(init_basis(2, "11"), [(hwp(22.5), (0,)), (cp_ideal_with_loss(1.0), (0, 1))])
+    assert np.array_equal(trace.final_state.amplitudes.view(np.uint64),
+                          want.amplitudes.view(np.uint64))
+    assert trace.executed_steps == 1
+    assert trace.cumulative_success == pytest.approx(0.81, rel=1e-12)
 
 
 def test_timeline_keeps_the_bits_of_one_evolve_per_step():
@@ -328,10 +352,10 @@ def test_random_plates_preserve_norm_at_unit_efficiency():
 
 
 def test_gate_branch_norm_counts_toward_survival(monkeypatch):
-    def half_branch(_eta):
+    def half_branch(_scheme, _eta):
         return GateOpMatrix(np.diag([1, 1, 1, 0.5]).astype(complex))
 
-    monkeypatch.setattr(paqsim.gates, "cp_ideal_with_loss", half_branch)
+    monkeypatch.setattr(CpScheme, "gate", half_branch)
 
     program = TimelineProgram(
         2,
@@ -448,12 +472,12 @@ def test_each_pair_is_placed_once_and_each_shift_built_once(monkeypatch):
 
     builds = []
 
-    def counting_scheme1(eta, b, errors):
-        builds.append(b)
-        return scheme1(eta, b, errors)
+    def counting_gate(scheme, eta):
+        builds.append(scheme.b_over_rabi)
+        return gate(scheme, eta)
 
-    scheme1 = paqsim.gates.scheme1_cp_matrix
-    monkeypatch.setattr(paqsim.gates, "scheme1_cp_matrix", counting_scheme1)
+    gate = CpScheme.gate
+    monkeypatch.setattr(CpScheme, "gate", counting_gate)
     # pairs (0, 1) and (2, 3) sit 2 um apart, (0, 2) 3 um apart
     positions = ((0.0, 0.0), (2.0, 0.0), (0.0, 3.0), (2.0, 3.0))
     steps = [cps((0, 1), (2, 3)), cps((2, 0)), cps((1, 0), (3, 2)), cps((0, 2))] * 2
