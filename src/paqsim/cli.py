@@ -18,8 +18,9 @@ byte-identical CSV/JSON on stdout. The Haar-average fidelity is the
 exact quadrature (metrics.haar_exact_gate_fidelity), so its stderr
 column is 0 and --samples/--seed are only echoed, once checked to be
 >= 1 and >= 0. Anchor checks against the ANCHORS reference values are
-printed to stderr so stdout stays machine-parseable. Exit codes: 0 ok, 2 parse
-error, 3 config error, 4 numeric failure.
+printed to stderr so stdout stays machine-parseable. Exit codes: 0 ok, 1
+stdout closed by its reader (e.g. piped into head), 2 parse error, 3 config
+error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -437,7 +439,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except PaqsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # does not raise again (the recipe in Python's `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -12,14 +12,8 @@ with a (K, 2) array of [g2, r] amplitudes, and P pairs i < j ((P, 2)
 index array) with a (P, 4) array of [gg, rg, gr, rr] amplitudes, first
 level on atom i; absent configurations are zeros. Each operation is one
 array operation per sector with one propagator per distinct (shift,
-detuning), and keeps the bits of the dict engine it replaced (now a test
-oracle): complex products are formed from real parts (numpy's vector
-complex multiply can fuse multiply-adds, its scalar one does not); sums run
-left to right in the dict's insertion order (`np.cumsum`, `np.add.at`,
-`CollectiveState.order`); |a|^2 is hypot squared by libm pow, as in
-`abs(a) ** 2`; distances sum their squares in the order `np.linalg.norm`
-does; propagators come from a stacked `eigh` and act by a stacked
-`np.matmul(u, x[..., None])`.
+detuning). The engine answers to the few-atom oracle of the tests, an
+explicit-basis simulation that shares no code with it, within 1e-12.
 
 Writes are ideal; the store-retrieve efficiency eta enters once, as
 sqrt(eta) on the retrieval amplitude, and Rydberg pulses are exactly
@@ -29,6 +23,14 @@ emit and their weight belongs to the loss budget. For a doubly-excited
 state the first retrieval returns the mode-annihilated remainder, whose
 norm can exceed 1 when both photons share a collective mode (bosonic
 stimulation); the protocols store them in distinct wavevector modes.
+
+Scheme 1's |11> input holds both memories in one state, over pairs (i, j)
+of control atom i and target atom j. The target's 2pi leaves atom j free
+where control atom i is in g2 and detunes it by the pair shift B(r_ij)
+where atom i is in r. The control's last pi then acts where the target is
+back in g2, the only branch a target read can see, and each read projects
+one memory onto its own mode. The pairs are taken a block of control
+atoms at a time, so the N_c x N_t pair work keeps bounded temporaries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -47,7 +48,14 @@ from .errors import (
     EmptyMemoryError,
     MemoryCapacityError,
 )
-from .pulses import BlockadeModel, PulseSpec, _eta, pair_propagators, two_level_propagator
+from .pulses import (
+    BlockadeModel,
+    PulseSpec,
+    _eta,
+    _ground_returns,
+    pair_propagators,
+    two_level_propagator,
+)
 from .qstate import GateOpMatrix, _as_index
 
 Config = tuple[tuple[int, str], ...]
@@ -56,12 +64,9 @@ LEVELS = ("g2", "r")
 # amplitudes below this are dropped when pruning a state
 PRUNE_TOL = 1e-15
 
-# a branch counts as Rydberg-occupied above this population
-RYDBERG_PRESENCE_TOL = 1e-9
-
 # largest C(N,2) a second write may build, so N <= 2000 atoms (80 B per
-# pair); `micro write-write-pi-read-read --atoms 2000` peaks at 653 MiB RSS
-# (2.2-3.0 s) under perfect blockade and 890 MiB (8-13 s) under c6:100, on a
+# pair); `micro write-write-pi-read-read --atoms 2000` peaks at 565 MiB RSS
+# (1.2 s) under perfect blockade and 826 MiB (5.7 s) under c6:100, on a
 # 2 vCPU x86-64 host
 MAX_PAIRS = 1_999_000
 
@@ -70,8 +75,8 @@ MAX_PAIRS = 1_999_000
 # under a 3 GB address-space limit, where 14,500,000 atoms run out
 MAX_ATOMS = 14_000_000
 
-# (atom, external atom) distances per block in `_farthest_external`
-FAR_BLOCK = 1 << 16
+# (control atom, target atom) pairs per block of scheme 1's joint |11>
+PAIR_BLOCK = 1 << 14
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _NO_PAIRS = np.zeros((0, 2), dtype=np.intp)
@@ -135,34 +140,21 @@ def gaussian_cloud(n_atoms: int, sigma_um: float, seed: int | None = None) -> np
     return rng.normal(0.0, abs(sigma_um), size=(n_atoms, 3))  # numpy refuses -0.0
 
 
-def _cmul(a, b) -> np.ndarray:
-    """a * b rounded as numpy's scalar complex product (no fused multiply-add)."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _square_sum(amps: np.ndarray) -> float:
-    """sum(abs(a) ** 2 for a in amps), rounded as Python rounds it."""
-    mags = np.hypot(amps.real, amps.imag).tolist()
-    return float(sum(map(math.pow, mags, repeat(2.0))))
-
-
 def _pruned(amps: np.ndarray) -> np.ndarray:
     """Zero, in place, what is at or below PRUNE_TOL; adding 0.0 makes a
-    -0.0 part +0.0, as the dict's `get(c, 0.0) + a` did."""
+    -0.0 part +0.0, so no signed zero reaches the output."""
     amps += 0.0
     amps[np.hypot(amps.real, amps.imag) <= PRUNE_TOL] = 0.0
     return amps
 
 
-def _lengths(pos: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances |pos[i] - pos[j]| of (n, 3) positions, rounded as
-    `np.linalg.norm(row)` is; a separation whose square overflows is refused."""
+def _lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between broadcast points given as (3, ...) coordinate
+    arrays; a separation whose square overflows is refused."""
     with np.errstate(over="ignore"):
-        v = pos[i] - pos[j]
-        sq = (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+        d = a - b
+        d *= d
+        sq = d[0] + d[1] + d[2]
     if np.isinf(sq).any():
         raise ConfigError("atom separation too large: its square overflows")
     return np.sqrt(sq)
@@ -186,22 +178,20 @@ def _propagate(u: np.ndarray, which: np.ndarray | None, x: np.ndarray) -> np.nda
 class CollectiveState:
     """Amplitudes over excitation configurations, one array per sector;
     `CollectiveState()` is the vacuum, and the engine builds every other
-    state with `_of`. `amplitudes` maps back to configurations. `order`
-    lists the flat indices of `single` in the order its sums run. Read-only."""
+    state with `_of`. `amplitudes` maps back to configurations. Read-only."""
 
     def __init__(self):
         self._set(1.0, np.zeros(0, dtype=np.intp), np.zeros((0, 2), dtype=complex))
 
     @classmethod
-    def _of(cls, *sectors, **kw) -> CollectiveState:
-        return cls.__new__(cls)._set(*sectors, **kw)
+    def _of(cls, *sectors) -> CollectiveState:
+        return cls.__new__(cls)._set(*sectors)
 
-    def _set(self, vacuum, atoms, single, pairs=_NO_PAIRS, pair=_NO_PAIR, order=None):
-        order = np.arange(single.size) if order is None else order
-        for a in (atoms, single, pairs, pair, order):
+    def _set(self, vacuum, atoms, single, pairs=_NO_PAIRS, pair=_NO_PAIR):
+        for a in (atoms, single, pairs, pair):
             a.setflags(write=False)
         self.vacuum, self.atoms, self.single = complex(vacuum), atoms, single
-        self.pairs, self.pair, self.order = pairs, pair, order
+        self.pairs, self.pair = pairs, pair
         return self
 
     @cached_property
@@ -229,8 +219,8 @@ class CollectiveState:
         return MappingProxyType(out)
 
     def norm_sq(self) -> float:
-        flat = ([self.vacuum], self.single.flat[self.order], self.pair.ravel())
-        return _square_sum(np.concatenate(flat))
+        flat = np.concatenate(([self.vacuum], self.single.ravel(), self.pair.ravel()))
+        return float(np.vdot(flat, flat).real)
 
     def max_excitations(self) -> int:
         if self.pair.any():
@@ -238,9 +228,8 @@ class CollectiveState:
         return 1 if self.single.any() else 0
 
     def rydberg_population(self) -> float:
-        r = self.order[self.order % 2 == 1]
-        flat = (self.single.flat[r], self.pair[:, 1:].ravel())
-        return _square_sum(np.concatenate(flat))
+        flat = np.concatenate((self.single[:, 1], self.pair[:, 1:].ravel()))
+        return float(np.vdot(flat, flat).real)
 
 
 def vacuum_state() -> CollectiveState:
@@ -283,10 +272,8 @@ def write_photon(
 
     kept = n if existing.vacuum else 0  # vacuum becomes a single excitation
     single = np.zeros((kept, 2), dtype=complex)
-    single[:, 0] = _pruned(_cmul(existing.vacuum, mode[:kept]))
-    g2 = existing.order  # its r entries are zero
-    terms = _cmul(np.conj(mode[existing.atoms[g2 // 2]]), existing.single.flat[g2])
-    overlap = np.cumsum(np.concatenate(([0j], terms)))[-1]
+    single[:, 0] = _pruned(existing.vacuum * mode[:kept])
+    overlap = np.vdot(mode[existing.atoms], existing.single[:, 0])
     if not abs(overlap) > 0.0:
         return CollectiveState._of(0j, np.arange(kept), single)
     if n < 2:
@@ -302,7 +289,7 @@ def write_photon(
     with np.errstate(over="ignore"):  # refused below
         wave = np.exp(1j * _finite_phases(ph[pairs[:, 0]] - ph[pairs[:, 1]]))
     pair = np.zeros((count, 4), dtype=complex)
-    pair[:, 0] = _pruned(_cmul(overlap, wave) / math.sqrt(count))
+    pair[:, 0] = _pruned(overlap * wave / math.sqrt(count))
     return CollectiveState._of(0j, np.arange(kept), single, pairs, pair)
 
 
@@ -325,57 +312,25 @@ def read_photon(
     if not (state.single[:, 0].any() or state.pair[:, :3].any()):
         raise EmptyMemoryError("no g2 excitation to read out")
     m = np.conj(_mode_amplitudes(ensemble, wavevector))
-    vac = 2 * ensemble.n_atoms  # slot 2j + level holds what is left on atom j
-
-    # annihilate every g2 in the dict's order: a single leaves the vacuum,
-    # gg loses atom i and then atom j, rg loses j, gr loses i
-    g2 = state.order[state.order % 2 == 0]
-    rest = np.zeros(vac + 1, dtype=complex)
-    terms = _cmul(m[state.atoms[g2 // 2]], state.single.flat[g2])
-    np.add.at(rest, np.full(len(g2), vac), terms)
+    vac = m[state.atoms] @ state.single[:, 0]  # each g2 single leaves the vacuum
     if state.max_excitations() <= 1:
-        return math.sqrt(eta) * rest[vac], vacuum_state()
-    (i, j), x = state.pairs.T, state.pair
-    present = (x != 0)[:, [0, 0, 1, 2]]
-    slots = np.stack([2 * j, 2 * i, 2 * i + 1, 2 * j + 1], axis=1)[present]
-    terms = np.stack([_cmul(m[i], x[:, 0]), _cmul(m[j], x[:, 0]),
-                      _cmul(m[j], x[:, 1]), _cmul(m[i], x[:, 2])], axis=1)
-    np.add.at(rest, slots, terms[present])
+        return math.sqrt(eta) * vac, vacuum_state()
 
-    # the remainder, keyed in first-seen order, less what the pruning drops
-    _pruned(rest)
-    keys, first = np.unique(slots, return_index=True)
-    keys = keys[np.argsort(first)]
-    keys = keys[rest[keys] != 0]
-    atoms, row = np.unique(keys // 2, return_inverse=True)
-    order = 2 * row + keys % 2
-    norm = math.sqrt(_square_sum(rest[np.concatenate(([vac], keys))]))
+    # what each pair leaves on one atom, in slot 2 * atom + level: gg loses
+    # atom i or atom j, rg loses atom j, gr loses atom i; the vacuum goes last
+    (i, j), x = state.pairs.T, state.pair
+    slots = np.concatenate((2 * j, 2 * i, 2 * i + 1, 2 * j + 1))
+    terms = np.concatenate((m[i] * x[:, 0], m[j] * x[:, 0], m[j] * x[:, 1], m[i] * x[:, 2]))
+    size = 2 * ensemble.n_atoms
+    left = np.bincount(slots, terms.real, size) + 1j * np.bincount(slots, terms.imag, size)
+    rest = _pruned(np.append(left, vac))
+    norm = math.sqrt(np.vdot(rest, rest).real)
     if norm <= PRUNE_TOL:
         return 0.0 + 0.0j, vacuum_state()
-    single = np.zeros((len(atoms), 2), dtype=complex)
-    single.flat[order] = (rest[keys].view(float) / norm).view(complex)  # as Python's a / norm
-    remaining = CollectiveState._of(complex(rest[vac]) / norm, atoms, single, order=order)
+    single = rest[:-1].reshape(-1, 2)
+    atoms = np.flatnonzero(single.any(axis=1))
+    remaining = CollectiveState._of(rest[-1] / norm, atoms, single[atoms] / norm)
     return math.sqrt(eta) * norm, remaining
-
-
-def _farthest_external(
-    ensemble: EnsembleConfig, external: EnsembleConfig
-) -> np.ndarray:
-    """Per atom, the distance to the farthest atom of the external ensemble,
-    whose excitation is delocalized, so the branch-worst case governs (for
-    HardSphere: blocked only if every external atom is within reach).
-    Squares sum as in norm."""
-    far = np.empty(ensemble.n_atoms)
-    ext, own = external.positions.T[:, None, :], ensemble.positions.T[:, :, None]
-    rows = max(1, FAR_BLOCK // external.n_atoms)
-    with np.errstate(over="ignore"):  # an overflowing square is refused below
-        for lo in range(0, len(far), rows):  # blocks bound the temporaries
-            d = ext - own[:, lo : lo + rows]  # (3, rows, external atoms)
-            d *= d
-            far[lo : lo + rows] = (d[0] + d[1] + d[2]).max(axis=1)
-    if np.isinf(far).any():
-        raise ConfigError("atom separation too large: its square overflows")
-    return np.sqrt(far)
 
 
 def apply_collective_pulse(
@@ -383,55 +338,34 @@ def apply_collective_pulse(
     pulse: PulseSpec,
     blockade: BlockadeModel,
     ensemble: EnsembleConfig,
-    blocker: EnsembleConfig | None = None,
 ) -> CollectiveState:
     """Drive g2 <-> r on every atom of the ensemble for one pulse.
 
-    Single excitations evolve under the two-level propagator, detuned by
-    the blockade shift from a Rydberg excitation in `blocker`, if given.
-    Pair configurations evolve in the {g2g2, symmetric, rr} ladder with
-    the intra-pair shift on rr; the antisymmetric combination is
-    decoupled from the drive and only accumulates its detuning phase.
+    Single excitations evolve under the two-level propagator. Pair
+    configurations evolve in the {g2g2, symmetric, rr} ladder with the
+    intra-pair shift on rr; the antisymmetric combination is decoupled
+    from the drive and only accumulates its detuning phase.
     """
     _check_atoms(state, ensemble)
-    area, phase = pulse.area, pulse.phase
-    i, j = state.pairs.T
-    det1 = np.full(len(state.atoms), pulse.detuning_over_rabi)
-    det2 = np.full(len(i), pulse.detuning_over_rabi)
-    if blocker is not None and (len(i) or len(det1)):
-        far = _farthest_external(ensemble, blocker)
-        det1 = det1 + blockade.shift_over_rabi(far[state.atoms])
-        det2 = det2 + blockade.shift_over_rabi(np.maximum(far[i], far[j]))
+    area, det, phase = pulse.area, pulse.detuning_over_rabi, pulse.phase
     single, pair = state.single, state.pair
 
-    if len(single):  # 2x2 blocks per atom
-        dets, which = np.unique(det1, return_inverse=True)
-        u = np.array([two_level_propagator(PulseSpec(area, d, phase)).entries
-                      for d in dets.tolist()])
-        single = _pruned(_propagate(u, which, single))
+    if len(single):  # one 2x2 block per atom
+        single = _pruned(single @ two_level_propagator(pulse).entries.T)
 
-    if len(pair):  # {gg, sym, rr} ladder plus the dark antisymmetric state
-        live = np.isfinite(det2)  # an infinite detuning leaves a block alone
-        sel = slice(None) if live.all() else live
-        x = pair[sel]
-        key = np.empty(len(x), dtype=complex)  # (shift, detuning) per block
-        key.real = blockade.shift_over_rabi(_lengths(ensemble.positions, i[sel], j[sel]))
-        key.imag = det2[sel]
-        keys, which = np.unique(key, return_inverse=True)
-        if len(keys) == len(key):  # no two blocks share a propagator: keep block order
-            keys, which = key, None
-        u = pair_propagators(area, keys.real, keys.imag, phase)
-        spin = _pick(np.exp(-1j * keys.imag * area), which)
-        anti = _cmul((x[:, 1] - x[:, 2]) * INV_SQRT2, spin)
-        sym = (x[:, 1] + x[:, 2]) * INV_SQRT2
-        y = _propagate(u, which, np.stack([x[:, 0], sym, x[:, 3]], axis=1))
-        new = _pruned(np.stack([y[:, 0], (y[:, 1] + anti) * INV_SQRT2,
-                                (y[:, 1] - anti) * INV_SQRT2, y[:, 2]], axis=1))
-        if isinstance(sel, slice):
-            pair = new
-        else:  # idle blocks stay as they are
-            pair = pair.copy()
-            pair[sel] = new
+    if len(pair) and math.isfinite(det):  # an infinite detuning leaves a block alone
+        i, j = state.pairs.T
+        pos = ensemble.positions.T
+        shifts = blockade.shift_over_rabi(_lengths(pos[:, i], pos[:, j]))
+        keys, which = np.unique(shifts, return_inverse=True)
+        if len(keys) == len(shifts):  # no two blocks share a propagator: keep block order
+            keys, which = shifts, None
+        u = pair_propagators(area, keys, det, phase)
+        anti = (pair[:, 1] - pair[:, 2]) * INV_SQRT2 * np.exp(-1j * det * area)
+        sym = (pair[:, 1] + pair[:, 2]) * INV_SQRT2
+        y = _propagate(u, which, np.stack([pair[:, 0], sym, pair[:, 3]], axis=1))
+        pair = _pruned(np.stack([y[:, 0], (y[:, 1] + anti) * INV_SQRT2,
+                                 (y[:, 1] - anti) * INV_SQRT2, y[:, 2]], axis=1))
     return CollectiveState._of(state.vacuum, state.atoms, single, state.pairs, pair)
 
 
@@ -444,29 +378,41 @@ def scheme1_cp_micro(
 ) -> GateOpMatrix:
     """Run the three-pulse protocol atom-by-atom for all four basis inputs.
 
-    Each memory is written once and each distinct pulse applied once: pi
-    (control), then 2pi (target) and pi (control), free for inputs 01 and
-    10 and, for 11, blocked by the other memory if it holds Rydberg
-    population. The diagonal of the stored photons' retrieval amplitudes
-    is the effective CP branch; ideal settings give diag(1,-1,-1,-1).
+    Each memory is written once and each pulse applied once: pi (control),
+    then 2pi (target) and pi (control). Inputs 01 and 10 drive one memory;
+    11 drives both in one state, pair by pair (see the module docstring).
+    The diagonal of the stored photons' retrieval amplitudes is the
+    effective CP branch; ideal settings give diag(1,-1,-1,-1).
     """
     _eta(eta)
     e1, e2, e3 = pulse_area_errors
     pi1, pi2, pi3 = (PulseSpec(math.pi * e1), PulseSpec(2.0 * math.pi * e2),
                      PulseSpec(math.pi * e3))
     c_ens, t_ens = control_ensemble, target_ensemble
-
-    def blocker(state: CollectiveState, ens: EnsembleConfig) -> EnsembleConfig | None:
-        return ens if state.rydberg_population() > RYDBERG_PRESENCE_TOL else None
-
-    one = 1.0 + 0.0j  # each entry is a product from here: signed zeros keep their bits
     tgt = write_photon(t_ens)
     t01 = apply_collective_pulse(tgt, pi2, blockade, t_ens)
-    a01 = one * read_photon(t_ens, t01, eta)[0]
+    a01 = read_photon(t_ens, t01, eta)[0]
     ctrl = apply_collective_pulse(write_photon(c_ens), pi1, blockade, c_ens)
-    c10 = apply_collective_pulse(ctrl, pi3, blockade, c_ens)
-    a10 = one * read_photon(c_ens, c10, eta)[0]
-    t11 = apply_collective_pulse(tgt, pi2, blockade, t_ens, blocker(ctrl, c_ens))
-    c11 = apply_collective_pulse(ctrl, pi3, blockade, c_ens, blocker(t11, t_ens))
-    a11 = one * read_photon(c_ens, c11, eta)[0] * read_photon(t_ens, t11, eta)[0]
-    return GateOpMatrix(np.diag([one, a01, a10, a11]))
+    a10 = read_photon(c_ens, apply_collective_pulse(ctrl, pi3, blockade, c_ens), eta)[0]
+
+    # |11>: pair (i, j) holds control atom i and target atom j. Where atom i
+    # is in g2 the target's 2pi ran free, as in t01; where it is in r, the
+    # 2pi on atom j was detuned by B(r_ij). The control's pi3 brings both
+    # branches to g2, and the control read leaves `rest` on the target's g2
+    # (both reads' sqrt(eta) enter at the end).
+    m = np.conj(_mode_amplitudes(c_ens))
+    u3 = two_level_propagator(pi3).entries[0]
+    w = m * ctrl.single[:, 1]  # control atoms in r, as the read weighs them
+    detuned = np.zeros(t_ens.n_atoms, dtype=complex)  # sum_i w_i v(B(r_ij))
+    c_pos, t_pos = c_ens.positions.T[:, :, None], t_ens.positions.T[:, None, :]
+    rows = max(1, PAIR_BLOCK // t_ens.n_atoms)
+    for lo in range(0, c_ens.n_atoms, rows):  # blocks bound the temporaries
+        shifts = blockade.shift_over_rabi(_lengths(c_pos[:, lo : lo + rows], t_pos))
+        if (shifts == shifts.flat[0]).all():  # one shift, as under perfect blockade
+            detuned += w[lo : lo + rows].sum() * _ground_returns(pi2.area, shifts.flat[0])
+        else:  # a sum, not a matmul: a threaded BLAS gemv here can stall for ms
+            detuned += (w[lo : lo + rows, None] * _ground_returns(pi2.area, shifts)).sum(axis=0)
+    rest = (u3[0] * (m @ ctrl.single[:, 0]) * t01.single[:, 0]
+            + u3[1] * detuned * tgt.single[:, 0])
+    a11 = eta * (np.conj(_mode_amplitudes(t_ens)) @ rest)
+    return GateOpMatrix(np.diag([1.0, a01, a10, a11]))

@@ -125,8 +125,8 @@ class PowerLaw:
     c6: float  # in units of Omega * um^6
 
     def __post_init__(self):
-        if not self.c6 > 0:
-            raise ConfigError(f"C6 must be > 0, got {self.c6}")
+        if not 0 < self.c6 < math.inf:  # an infinite C6 is `Perfect`
+            raise ConfigError(f"C6 must be finite and > 0, got {self.c6}")
 
     def shift_over_rabi(self, distance_um):
         d = _distance(distance_um)
@@ -166,6 +166,20 @@ def two_level_propagator(pulse: PulseSpec) -> GateOpMatrix:
     ) / v
     u = np.exp(-1j * alpha) * (c * np.eye(2) - 1j * s * sv)
     return _trusted(u[None])[0]
+
+
+def _ground_returns(area: float, detunings: np.ndarray) -> np.ndarray:
+    """<g2|U|g2> of `two_level_propagator` at one area, for an array of
+    detunings: e^{-i a} (cos v + i a sin(v) / v), a = detuning * area / 2,
+    v = hypot(area / 2, a). The laser phase drops out, and an infinite
+    detuning or no drive leaves g2 alone."""
+    d = np.asarray(detunings, dtype=float)
+    out = np.ones(d.shape, dtype=complex)
+    k = np.isfinite(d) & (area > 0)
+    a = d[k] * area / 2.0
+    v = np.hypot(area / 2.0, a)
+    out[k] = np.exp(-1j * a) * (np.cos(v) + 1j * np.sin(v) * (a / v))
+    return out
 
 
 def pair_propagators(area: float, shifts, detunings, phase: float = 0.0) -> np.ndarray:
@@ -236,11 +250,13 @@ class CpScheme:
     area errors) or scheme 2 (B/Omega, area in radians). The fields its kind
     reads are checked once, here, so an unbuilt gate is refused all the same.
 
-    Scheme 1 is pi on control, 2pi on target, pi on control. Its |11>
-    entry is the product of the control two-pi-pulse factor and the
-    blockaded-target 2pi factor (shift B/Omega as detuning); exact pulses
-    with perfect blockade give diag(1,-1,-1,-1), and B=0 gives the +eta
-    gate failure (the target 2pi completes and cancels the sign).
+    Scheme 1 is pi (u1) on control, 2pi on target, pi (u3) on control. Its
+    |11> entry is eta (u3_00 u1_00 v(0) + u3_01 u1_10 v(B)), with v(D) the
+    target 2pi's g2 return at detuning D: the target runs free where the
+    control stayed in g2 and is detuned by the shift B/Omega where it went
+    to r. Exact pulses with perfect blockade give diag(1,-1,-1,-1), and
+    B=0 gives the +eta gate failure (the target 2pi completes and cancels
+    the sign).
 
     Scheme 2 is one area-theta pulse on the shared ensemble. Single
     excitations return with cos(theta/2); the blockaded pair oscillates at
@@ -282,9 +298,10 @@ class CpScheme:
         u3 = two_level_propagator(PulseSpec(math.pi * e3)).entries
         a_ctrl = (u3 @ u1)[0, 0]
         target_area = 2.0 * math.pi * e2
-        a_free = two_level_propagator(PulseSpec(target_area)).entries[0, 0]
-        a_blocked = two_level_propagator(PulseSpec(target_area, self.b_over_rabi)).entries[0, 0]
-        return GateOpMatrix(np.diag([1.0, s * a_free, s * a_ctrl, eta * a_ctrl * a_blocked]))
+        v_free = two_level_propagator(PulseSpec(target_area)).entries[0, 0]
+        v_blocked = two_level_propagator(PulseSpec(target_area, self.b_over_rabi)).entries[0, 0]
+        a_both = u3[0, 0] * u1[0, 0] * v_free + u3[0, 1] * u1[1, 0] * v_blocked
+        return GateOpMatrix(np.diag([1.0, s * v_free, s * a_ctrl, eta * a_both]))
 
 
 def scheme1_cp_matrix(

@@ -6,11 +6,13 @@ check. `haar_weighted_gate_fidelity` is the closed-form Haar average
 weighted by success probability, which no command reports.
 `fit_pair_frequency` measures the sqrt(2)-enhanced pair oscillation from
 the ladder Hamiltonian that `paqsim.pulses.pair_propagators`
-exponentiates, so the ladder is written once. `apply_gate` is a one-op `evolve`. `ghz_state`,
+exponentiates, so the ladder is written once; `pair_propagator` is that
+ladder's one-pair propagator as the product first computed it, the
+reference for the stacked one's bits. `apply_gate` is a one-op `evolve`. `ghz_state`,
 `state_fidelity_postselected` and `distance_up_to_global_phase` are the
 plain definitions the gate and plate tests check against; `ghz_dense_eval`
 computes its fidelity inline. `collective_state` builds an atom-engine
-state from a {configuration: amplitude} dict, cleaned by the dict engine.
+state from a {configuration: amplitude} dict.
 `FewAtomOracle` runs the atom engine's writes, pulses and reads on an
 explicit basis of a few atoms, and `scheme1_cp_oracle` the scheme-1 gate
 with both memories in one state; neither shares code with `paqsim.memory`.
@@ -29,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import _dict_memory
 from paqsim.errors import ConfigError, PostSelectionError
 from paqsim.gates import _ghz_amplitudes, _ghz_size
-from paqsim.memory import LEVELS, CollectiveState
+from paqsim.memory import LEVELS, PRUNE_TOL, CollectiveState
 from paqsim.metrics import _ZERO_NORM, _overlap
-from paqsim.pulses import _pair_drive, _pair_ladders
+from paqsim.pulses import PulseSpec, _drive, _pair_drive, _pair_ladders, two_level_propagator
 from paqsim.qstate import GateOpMatrix, StateVector, evolve
 
 HAAR_CHUNK = 8192
@@ -79,26 +80,63 @@ def distance_up_to_global_phase(a, b) -> float:
 
 
 def collective_state(mapping) -> CollectiveState:
-    """The state a {configuration: amplitude} dict describes, as the dict
-    engine cleans it (canonical configurations, pruned, at most two
-    excitations); atoms and pairs take rows in first-seen order, and sums
-    run in the dict's order."""
-    clean = _dict_memory.CollectiveState(dict(mapping)).amplitudes
-    one = {c[0]: a for c, a in clean.items() if len(c) == 1}
-    two = {c: a for c, a in clean.items() if len(c) == 2}
-    rows = {j: k for k, j in enumerate(dict.fromkeys(j for j, _ in one))}
-    pairs = {p: k for k, p in enumerate(dict.fromkeys((i, j) for (i, _), (j, _) in two))}
-    order = [2 * rows[j] + LEVELS.index(lvl) for j, lvl in one]
-    single = np.zeros((len(rows), 2), dtype=complex)
-    single.flat[order] = list(one.values())
-    slots = [4 * pairs[i, j] + LEVELS.index(li) + 2 * LEVELS.index(lj)
-             for (i, li), (j, lj) in two]
+    """The atom-engine state a {configuration: amplitude} dict describes:
+    sorted ((atom, level), ...) tuples of at most two atoms, less the
+    amplitudes at or below PRUNE_TOL; atoms and pairs take rows in sorted
+    order."""
+    kept = {c: complex(a) for c, a in mapping.items() if abs(a) > PRUNE_TOL}
+    atoms = sorted({c[0][0] for c in kept if len(c) == 1})
+    pairs = sorted({(c[0][0], c[1][0]) for c in kept if len(c) == 2})
+    single = np.zeros((len(atoms), 2), dtype=complex)
     pair = np.zeros((len(pairs), 4), dtype=complex)
-    pair.flat[slots] = list(two.values())
-    atoms = np.array(list(rows), dtype=np.intp)
-    index = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-    return CollectiveState._of(clean.get((), 0j), atoms, single, index, pair,
-                               np.array(order, dtype=np.intp))
+    for c, a in kept.items():
+        if len(c) == 1:
+            ((j, lv),) = c
+            single[atoms.index(j), LEVELS.index(lv)] = a
+        elif c:
+            (i, li), (j, lj) = c
+            pair[pairs.index((i, j)), LEVELS.index(li) + 2 * LEVELS.index(lj)] = a
+    return CollectiveState._of(kept.get((), 0j), np.array(atoms, dtype=np.intp), single,
+                               np.array(pairs, dtype=np.intp).reshape(-1, 2), pair)
+
+
+def pair_propagator(
+    area: float,
+    pair_shift_over_rabi: float,
+    detuning_over_rabi: float = 0.0,
+    phase: float = 0.0,
+) -> np.ndarray:
+    """3x3 propagator on {g2g2, symmetric single-r, rr}.
+
+    The symmetric ladder couples with matrix element sqrt(2)*Omega/2
+    (collective enhancement); rr carries the blockade shift on top of
+    twice the laser detuning. An infinite shift reduces exactly to the
+    two-level {g2g2, sym} system at effective area sqrt(2)*area, with
+    rr frozen.
+    """
+    if not area >= 0:
+        raise ConfigError(f"pulse area must be >= 0, got {area}")
+    if math.isnan(pair_shift_over_rabi):
+        raise ConfigError("pair blockade shift must not be NaN")
+    _drive(detuning_over_rabi, phase)
+    if not math.isfinite(pair_shift_over_rabi):
+        u2 = two_level_propagator(
+            PulseSpec(math.sqrt(2) * area, detuning_over_rabi / math.sqrt(2), phase)
+        ).entries
+        out = np.eye(3, dtype=complex)
+        out[:2, :2] = u2
+        return out
+    g = (math.sqrt(2) / 2.0) * area * np.exp(-1j * phase)
+    ht = np.array(
+        [
+            [0.0, g, 0.0],
+            [np.conj(g), detuning_over_rabi * area, g],
+            [0.0, np.conj(g), (2.0 * detuning_over_rabi + pair_shift_over_rabi) * area],
+        ],
+        dtype=complex,
+    )
+    w, vecs = np.linalg.eigh(ht)
+    return (vecs * np.exp(-1j * w)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -201,7 +239,7 @@ class FewAtomOracle:
     """The atom engine's protocols on an explicit configuration basis, for a
     few atoms over one or more ensembles; it shares no code with
     `paqsim.memory` (no ladder, no symmetric/antisymmetric split, no
-    Rydberg-presence switch).
+    pair blocks).
 
     Atoms are numbered across the ensembles in order. The basis is every
     configuration with at most two atoms out of g1, each in g2 or r, as
@@ -220,7 +258,8 @@ class FewAtomOracle:
     e^{i(phi_i - phi_j)}, not in the bosonic e^{i(phi_i + phi_j)}). A read
     is sqrt(eta) * sum_j conj(m_j) times the removal of g2 from atom j, a
     vector of one excitation fewer: the product's amplitude times its
-    remainder. States are vectors over `configs`.
+    remainder; an off-mode read takes m_j from its own wavevector. States
+    are vectors over `configs`.
     """
 
     def __init__(self, ensembles, blockade):
@@ -278,7 +317,7 @@ class FewAtomOracle:
         overlap: dict = {}
         for c, a in zip(self.configs, psi):
             own = [(j, lv) for j, lv in c if j in atoms]
-            if a == 0:
+            if abs(a) <= 1e-14:  # zero, or what an eigh pulse leaves of it
                 continue
             if not own:
                 for j, m in zip(atoms, mode):
@@ -297,8 +336,10 @@ class FewAtomOracle:
                     ov * wave / math.sqrt(count))
         return out
 
-    def read(self, psi, ensemble: int, eta: float) -> np.ndarray:
+    def read(self, psi, ensemble: int, eta: float, wavevector=None) -> np.ndarray:
         atoms, mode = self.members[ensemble], self.modes[ensemble]
+        if wavevector is not None:  # an off-mode read
+            mode = np.exp(1j * (self.positions[atoms] @ wavevector)) / math.sqrt(len(atoms))
         out = np.zeros_like(psi)
         for c, a in zip(self.configs, psi):
             for j, lv in c:

@@ -1,10 +1,12 @@
 """The public API: `paqsim.__all__` is the one list of exported names."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 
 import paqsim
+import paqsim.memory
 
 # not exported: test oracles, which live in tests/_oracles.py, the
 # serializers, which live in tests/_corpus.py, one-line twins of other
@@ -58,3 +60,10 @@ def test_retired_names_are_gone():
         assert name not in paqsim.__all__
         for module in modules:
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_the_atom_engine_keeps_no_switch_or_dict_rounding():
+    # the blocker switch and the dict engine's rounding rules are gone
+    assert "blocker" not in inspect.signature(paqsim.apply_collective_pulse).parameters
+    for name in ("RYDBERG_PRESENCE_TOL", "_farthest_external", "_cmul", "_square_sum"):
+        assert not hasattr(paqsim.memory, name), name

@@ -2,7 +2,9 @@
 blocked, and memory guards for the same change; bit pins for the
 timeline, recorded before each CP pair took its gate from its distance;
 and bit and message pins for the CP gate, recorded before `CpScheme`
-moved next to the pulse-level formulas it selects.
+moved next to the pulse-level formulas it selects. Every pin that runs
+scheme 1 was re-recorded once, when its |11> entry took the two-branch
+form u3_00 u1_00 v(0) + u3_01 u1_10 v(B).
 
 Each pin is the SHA-256 of output bytes: `run_circuit` amplitudes and the
 two floats of `ghz_dense_eval` for GHZ star and chain at n = 11..18 under
@@ -56,15 +58,15 @@ CIRCUIT_GROUPS = 4  # of 10 seeded circuits each
 
 PINS = {
     ("star", "ideal"): "f59d0ef504319107141db3ae5c8256b9e0268422bec90635eca53e5263d756d0",
-    ("star", "scheme1"): "10d52d2d1f5549905dcf45a38ef73b929c2528ec690c1b0c15a3848e65f0b1ed",
+    ("star", "scheme1"): "77a649c966f3c0ae1ec4702a37fe213888628e8adef2811956f5d4adbeb7d8a3",
     ("star", "scheme2"): "dcf6c46b8874e29fe0a671d9da8896dff45194e76babc43d99f82a93675d88d8",
     ("chain", "ideal"): "ee477d3b0ef27d62e576ffdbc9aac54c11f19932be52c45b99c44afedee3826a",
-    ("chain", "scheme1"): "565364149e854508a85cea35b845ad2d53154c8d379523ee64867c7d2c3e8474",
+    ("chain", "scheme1"): "d9ea37d289902159a1bd914a46c6de7093aa4fde1af569b2490a187520857e94",
     ("chain", "scheme2"): "de1ba1cb957622ab52c9a65dc8bd6b159ec7efd97edaec3f76c4c5a743c4ca03",
-    ("circuits", 0): "575e7611292e389ed6f4aa235d36eec2ba32a7dd2e607ae2c65b1410caa21301",
-    ("circuits", 1): "6f690877dc1f9ede6c83ccc0d2b6bbd2b789d7022d4d5d214c0f94bb6084b9a7",
-    ("circuits", 2): "c1aca695b87056c1023adaad1ba63dc70fc5b0678e48412237a915fa57239095",
-    ("circuits", 3): "99b6cc8da992ac4b0cafe7e0b87db7eff2983b25e65f9827bd93ac93d6b71cbc",
+    ("circuits", 0): "1b330c2a4a5c2a1fe82ceedab76a9f122e513c6f3f096f274cb1cf861d024268",
+    ("circuits", 1): "c5d1e7f40439979001fec81693a2529e42ee83ea5a41c1b33ba3bdf2b538a0a9",
+    ("circuits", 2): "3f9eded2f816e3ca4a4c99eace0963e2eab5571b3f41d042a97ea4078bc53619",
+    ("circuits", 3): "6317c8eb1b39c1f6c8ad79d9a786055048a7f84ed797f2016d81b64befc8a9ee",
 }
 
 
@@ -185,13 +187,13 @@ TIMELINE_STEPS = 30
 
 TIMELINE_PINS = {
     ("hard40", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
-    ("hard40", "scheme1"): "5a3cc8f36f587588762cce2288a925fb20353ad1a79982606b53c751761333a6",
+    ("hard40", "scheme1"): "d90a2627b2816a3e3b926b2c7c6c993cf89358bfd74a919ddbf9bdc678ff214a",
     ("hard40", "scheme2"): "4756637df47fd53787074b2c18b2562eb8af921eb84b976a9dc70fa91846cf96",
     ("perfect", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
-    ("perfect", "scheme1"): "5a3cc8f36f587588762cce2288a925fb20353ad1a79982606b53c751761333a6",
+    ("perfect", "scheme1"): "d90a2627b2816a3e3b926b2c7c6c993cf89358bfd74a919ddbf9bdc678ff214a",
     ("perfect", "scheme2"): "4756637df47fd53787074b2c18b2562eb8af921eb84b976a9dc70fa91846cf96",
     ("c6", "ideal"): "f7d9b2e70457d0144cde249bad999d192eebde418b5dcd2b5f26ef4e3c806934",
-    ("c6", "scheme1"): "471a6af173908ec3d2b5ac595849f312ff69098077fbc05983a5bd13405df959",
+    ("c6", "scheme1"): "02776f01c16c79ee68330125fa20ce93c9e5e7e6195fd8589b3c0ddb3c856663",
     ("c6", "scheme2"): "66f0d6017c8d18e58a586ecb59831ddf68c07677c7b1a5711a7c28a55c12460b",
 }
 
@@ -232,7 +234,7 @@ def test_timeline_bits_are_pinned(blockade, model):
 # scheme's formulas live must leave every bit of every gate where it was.
 CP_KINDS = ("ideal", "scheme1", "scheme2")
 CP_SHIFTS = 30  # finite B/Omega values per kind
-CP_PIN = "219eb2dd28891883b8d0d6fc80133383a456480aa95b10d87e1cbcfe76f6516e"
+CP_PIN = "cf67e32796c820ca872f110f2b6e5ab1f057e6eb541067f456efb22b325e2e02"
 
 
 def cp_gate_bytes():

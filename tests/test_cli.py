@@ -261,11 +261,12 @@ def test_pulse_dead_input_is_numeric_failure(capsys):
 
 
 # (flags, SHA-256 of stdout) under a finite blockade with area errors or a
-# non-default area, at eta < 1
+# non-default area, at eta < 1; the scheme-1 pin was recorded when |11> took
+# the two-branch form
 PINNED_PULSES = [
     (("--scheme", "1", "--blockade", "c6:5000", "--distance-um", "6",
       "--area-errors", "1.05,0.97,0.95", "--eta", "0.7"),
-     "2454e7c5b5e82ef794ed6cbf9f86f7421d50e69dc7a1c039335c8cf3d887409d"),
+     "383250f216fe12ce0242a38b6ed50d0b3abf2430ad9d6d9bcf62f27495d939c0"),
     (("--scheme", "2", "--area-pi", "7", "--b-over-omega", "3", "--eta", "0.8"),
      "99cd2dcef3577c00becd7a04ec744e2e5abd8380e2685c556c109914002e768a"),
 ]
@@ -818,10 +819,14 @@ NON_FINITE_ARGV = [
     ["pulse", "--scheme", "1", "--area-errors", "nan,1,1"],
     ["pulse", "--scheme", "1", "--blockade", "hard:nan"],
     ["pulse", "--scheme", "1", "--blockade", "c6:nan"],
+    # an infinite C6 once read as perfect blockade at 1 um and none at 1e60 um
+    ["pulse", "--scheme", "1", "--blockade", "c6:inf", "--distance-um", "1"],
+    ["pulse", "--scheme", "1", "--blockade", "c6:inf", "--distance-um", "1e60"],
     ["pulse", "--scheme", "1", "--blockade", "hard:40", "--distance-um", "nan"],
     ["pulse", "--scheme", "1", "--blockade", "c6:1e6", "--distance-um", "inf"],
     ["micro", "write-write-pi", "--blockade", "hard:nan"],
     ["micro", "write-write-pi", "--blockade", "c6:nan"],
+    ["micro", "write-write-pi", "--blockade", "c6:inf"],
     ["micro", "write-pi-read", "--sigma-um", "nan"],
     ["micro", "write-pi-read", "--kvec", "nan,0,0"],
     ["micro", "write-nanpi-read"],
@@ -1085,3 +1090,15 @@ def test_console_script_passes_exit_code_through():
     assert len(done.stderr.splitlines()) == 1
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the record, about 1 MB, outgrows the pipe, so a write meets the closed end
+    prefix, env = _launcher()
+    argv = prefix + ["micro", "write-write-pi", "--atoms", "100"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert err == b""

@@ -1,8 +1,7 @@
 import math
 import warnings
 
-import _dict_memory
-from _oracles import fit_pair_frequency
+from _oracles import fit_pair_frequency, pair_propagator
 import numpy as np
 import pytest
 
@@ -151,6 +150,13 @@ def test_blockade_model_validation():
         PowerLaw(0.0)
 
 
+def test_power_law_refuses_an_infinite_c6():
+    # inf would be a perfect blockade where r**6 is finite and no blockade
+    # where it overflows; `Perfect` is the infinite case
+    with pytest.raises(ConfigError, match=r"^C6 must be finite and > 0, got inf$"):
+        PowerLaw(math.inf)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -238,14 +244,14 @@ def test_shift_over_rabi_takes_arrays_and_matches_the_closed_forms():
 
 
 def test_pair_propagators_match_the_scalar_calls_bit_for_bit():
-    # finite pairs against the one-pair-at-a-time ladder kept in the dict oracle
+    # finite pairs against the one-pair-at-a-time ladder kept as an oracle
     rng = np.random.default_rng(8)
     shifts = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 40)])
     dets = np.concatenate([[-1.25], rng.uniform(-3.0, 3.0, 40)])
     stack = pair_propagators(2.7, shifts, dets, 0.4)
     for k in range(len(shifts)):
         np.testing.assert_array_equal(
-            stack[k], _dict_memory.pair_propagator(2.7, shifts[k], dets[k], 0.4)
+            stack[k], pair_propagator(2.7, shifts[k], dets[k], 0.4)
         )
         np.testing.assert_array_equal(
             one_pair(2.7, shifts[k], dets[k], 0.4), stack[k]
