@@ -404,7 +404,9 @@ def scheme1_cp_micro(
     u3 = two_level_propagator(pi3).entries[0]
     w = m * ctrl.single[:, 1]  # control atoms in r, as the read weighs them
     detuned = np.zeros(t_ens.n_atoms, dtype=complex)  # sum_i w_i v(B(r_ij))
-    c_pos, t_pos = c_ens.positions.T[:, :, None], t_ens.positions.T[:, None, :]
+    # contiguous coordinate rows: a broadcast difference of strided views is slower
+    c_pos = np.ascontiguousarray(c_ens.positions.T)[:, :, None]
+    t_pos = np.ascontiguousarray(t_ens.positions.T)[:, None, :]
     rows = max(1, PAIR_BLOCK // t_ens.n_atoms)
     for lo in range(0, c_ens.n_atoms, rows):  # blocks bound the temporaries
         shifts = blockade.shift_over_rabi(_lengths(c_pos[:, lo : lo + rows], t_pos))

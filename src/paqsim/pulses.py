@@ -171,12 +171,13 @@ def two_level_propagator(pulse: PulseSpec) -> GateOpMatrix:
 def _ground_returns(area: float, detunings: np.ndarray) -> np.ndarray:
     """<g2|U|g2> of `two_level_propagator` at one area, for an array of
     detunings: e^{-i a} (cos v + i a sin(v) / v), a = detuning * area / 2,
-    v = hypot(area / 2, a). The laser phase drops out, and an infinite
-    detuning or no drive leaves g2 alone."""
-    d = np.asarray(detunings, dtype=float)
-    out = np.ones(d.shape, dtype=complex)
-    k = np.isfinite(d) & (area > 0)
-    a = d[k] * area / 2.0
+    v = hypot(area / 2, a). The laser phase drops out, and no drive or an
+    infinite or undefined (inf * 0) detuning * area leaves g2 alone, as there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.asarray(detunings, dtype=float) * area / 2.0
+    out = np.ones(a.shape, dtype=complex)
+    k = np.isfinite(a) & (area > 0)
+    a = a[k]
     v = np.hypot(area / 2.0, a)
     out[k] = np.exp(-1j * a) * (np.cos(v) + 1j * np.sin(v) * (a / v))
     return out

@@ -658,7 +658,7 @@ def _refusal(state: CollectiveState, op, n: int):
 
 @settings(deadline=None, max_examples=100)
 @given(
-    st.integers(1, 6),
+    st.integers(1, 8),
     st.integers(0, 2**16),
     st.floats(0.2, 3.0),
     st.sampled_from(("perfect", "hard", "power")),
@@ -731,7 +731,7 @@ def test_scheme1_matrix_matches_the_oracle_on_one_atom_ensembles(b, eta, errors)
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 3), st.integers(1, 3), SHIFTS, st.floats(0.0, 1.0),
+@given(st.integers(1, 4), st.integers(1, 4), SHIFTS, st.floats(0.0, 1.0),
        st.tuples(*[st.floats(0.8, 1.2)] * 3))
 def test_scheme1_micro_and_macro_match_the_oracle_on_point_clouds(n_ctrl, n_tgt, b, eta, errors):
     # zero-width clouds 1 um apart: every pair sees the macro gate's B/Omega
@@ -761,8 +761,17 @@ def test_scheme1_micro_is_continuous_in_distance():
     assert abs(near - far) < 1e-4
 
 
+@pytest.mark.parametrize("b, errors", [(1e308, (1.0, 1.0, 1.0)), (1e308, (1.05, 0.97, 0.95)),
+                                        (math.inf, (1.0, 0.0, 1.0))])
+def test_scheme1_micro_is_the_macro_gate_where_shift_times_area_is_not_finite(b, errors):
+    # B * area overflows at 1 um, or is inf * 0: both engines leave g2 alone
+    model = model_at_1um(b)
+    got = scheme1_cp_micro(1.0, model, one_atom(0.0), one_atom(1.0), errors).entries
+    assert np.abs(got - scheme1_cp_matrix(1.0, b, errors).entries).max() <= 1e-12
+
+
 @settings(deadline=None, max_examples=40)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16), st.floats(0.2, 3.0),
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**16), st.floats(0.2, 3.0),
        st.floats(0.0, 8.0), st.sampled_from(("perfect", "hard", "power")), st.floats(0.5, 8.0),
        st.floats(-3.0, 3.0), st.floats(0.0, 1.0), st.tuples(*[st.floats(0.8, 1.2)] * 3))
 def test_scheme1_micro_matches_the_oracle_on_small_clouds(n_ctrl, n_tgt, seed, sigma, gap, kind,
